@@ -9,8 +9,6 @@ elementwise ops (gradients are summed back over broadcast axes); matmul
 requires explicit shapes beyond the weight-matrix and equal-batch cases.
 """
 
-import itertools
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -21,17 +19,14 @@ from .errors import (
     ShapeMismatch,
 )
 
-_node_ids = itertools.count()
-
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.node_id = next(_node_ids)
         self._parents = ()
         self._vjp = None
 
@@ -44,39 +39,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        return (f"Tensor(shape={self.data.shape}, requires_grad="
-                f"{self.requires_grad}, node_id={self.node_id})")
-
-    def zero_grad(self):
-        self.grad = None
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
-
-    def sum(self, axis=None, keepdims=False):
-        return total(self, axis, keepdims)
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _wrap(x) -> Tensor:
@@ -104,38 +67,27 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-class Tape:
-    """Topologically ordered nodes reachable from a root, leaves first."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        order, seen, stack = [], set(), [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        return cls(order)
-
-
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    tape = Tape.trace(loss)
+    # topological order of the graph reachable from the loss, leaves first
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue

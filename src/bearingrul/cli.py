@@ -15,45 +15,17 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dataio, features, model, plotting, training
-from .errors import BearingRulError, DataError, NumericError
+from .errors import BearingRulError, DataError, InvalidConfig, NumericError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-DEFAULTS = {
-    "synth": {
-        "snapshots": 100, "samples": 2560, "onset": 50, "growth": 2.0,
-        "noise_std": 1.0, "kurtosis": 3.0, "impulses": 20, "tone_level": 2.0,
-        "tone_low": 0.06, "tone_high": 0.17, "seed": 0,
-        "bearing_id": "Bearing9_1",
-    },
-    "ingest": {"input": None, "hor_col": 4, "ver_col": 5},
-    "fpt": {
-        "input": None, "channel": "horizontal", "baseline": None,
-        "sigma": 3.0, "consecutive": 3, "denoise": False,
-    },
-    "featurize": {
-        "input": None, "fpt": "auto", "window": 10, "stride": 5, "level": 3,
-        "denoise": True, "baseline": None,
-    },
-    "train": {
-        "dataset": None, "preset": "desk", "loss": "custom", "lam": 1.0,
-        "lr": 1e-4, "batch_size": 16, "epochs": 100, "seed": 0,
-        "val_fraction": 0.0,
-    },
-    "eval": {"dataset": None, "checkpoint": None},
-    "predict": {"dataset": None, "checkpoint": None},
-    "exp-loss": {
-        "dataset": None, "preset": "desk", "lam": 1.0, "lr": 1e-3,
-        "batch_size": 8, "epochs": 30, "seed": 0, "holdout": 0.25,
-    },
-}
 
 
 class _Run:
@@ -193,9 +165,8 @@ def cmd_fpt(cfg, run: _Run):
 def cmd_featurize(cfg, run: _Run):
     record = dataio.load_pronostia_bearing(cfg["input"])
     if cfg["fpt"] == "auto":
-        series = features.kurtosis_series(record)
-        fpt = features.detect_fpt(series, features.FptConfig(
-            baseline_count=cfg["baseline"]))
+        fpt = features.detect_fpt_record(
+            record, features.FptConfig(baseline_count=cfg["baseline"]))
         if fpt is None:
             raise DataError("no degradation onset detected; cannot label")
     else:
@@ -213,23 +184,35 @@ def cmd_featurize(cfg, run: _Run):
 
 
 def _split_dataset(samples, holdout: float, seed: int):
-    """Deterministic interleaved split covering the whole label range."""
-    if holdout <= 0:
+    """Deterministic interleaved split covering the whole label range.
+
+    Every round(1/holdout)-th sample is held out; holdout lies in [0, 0.5].
+    """
+    if holdout == 0:
         return list(samples), []
-    period = max(2, round(1.0 / holdout))
+    period = round(1.0 / holdout)
     offset = seed % period
     val = [s for i, s in enumerate(samples) if i % period == offset]
     train = [s for i, s in enumerate(samples) if i % period != offset]
     return train, val
 
 
-def cmd_train(cfg, run: _Run):
+def _training_setup(cfg, split: str):
+    """Load the dataset, hold out the cfg[split] share, build the configs."""
+    if not 0.0 <= cfg[split] <= 0.5:
+        raise InvalidConfig(
+            f"--{split.replace('_', '-')} {cfg[split]} outside [0, 0.5]")
     samples, _ = dataio.load_dataset(cfg["dataset"])
-    train_set, val_set = _split_dataset(samples, cfg["val_fraction"], cfg["seed"])
+    train_set, val_set = _split_dataset(samples, cfg[split], cfg["seed"])
     mcfg = model.config_from_preset(cfg["preset"])
     tcfg = training.TrainConfig(learning_rate=cfg["lr"],
                                 batch_size=cfg["batch_size"],
                                 epochs=cfg["epochs"], seed=cfg["seed"])
+    return train_set, val_set, mcfg, tcfg
+
+
+def cmd_train(cfg, run: _Run):
+    train_set, val_set, mcfg, tcfg = _training_setup(cfg, "val_fraction")
     lcfg = training.LossConfig(kind=cfg["loss"], lam=cfg["lam"])
     params, history = training.train(train_set, mcfg, tcfg, lcfg,
                                      val_dataset=val_set or None)
@@ -252,19 +235,18 @@ def _evaluate(cfg):
     samples, _ = dataio.load_dataset(cfg["dataset"])
     params, mcfg = dataio.load_checkpoint(cfg["checkpoint"])
     preds = model.predict_batch(params, mcfg, samples)
-    targets = np.array([s.label for s in samples])
-    return samples, preds, targets
+    return preds, np.array([s.label for s in samples])
 
 
 def cmd_eval(cfg, run: _Run):
-    _, preds, targets = _evaluate(cfg)
+    preds, targets = _evaluate(cfg)
     batch = training.PredictionBatch(preds, targets)
     run.write_json("metrics.json", training.metrics_report(batch))
     return [cfg["dataset"], cfg["checkpoint"]]
 
 
 def cmd_predict(cfg, run: _Run):
-    _, preds, targets = _evaluate(cfg)
+    preds, targets = _evaluate(cfg)
     rows = [(i, float(t), float(p), float(p - t))
             for i, (p, t) in enumerate(zip(preds, targets))]
     run.write_text("predictions.csv",
@@ -279,14 +261,9 @@ def cmd_predict(cfg, run: _Run):
 
 def cmd_exp_loss(cfg, run: _Run):
     """Twin training: identical data and seed, MSE vs hinge-penalized loss."""
-    samples, _ = dataio.load_dataset(cfg["dataset"])
-    train_set, val_set = _split_dataset(samples, cfg["holdout"], cfg["seed"])
+    train_set, val_set, mcfg, tcfg = _training_setup(cfg, "holdout")
     if not val_set:
         raise DataError("exp-loss needs a nonzero holdout fraction")
-    mcfg = model.config_from_preset(cfg["preset"])
-    tcfg = training.TrainConfig(learning_rate=cfg["lr"],
-                                batch_size=cfg["batch_size"],
-                                epochs=cfg["epochs"], seed=cfg["seed"])
     targets = np.array([s.label for s in val_set])
     report = {}
     for kind in ("mse", "custom"):
@@ -304,21 +281,94 @@ def cmd_exp_loss(cfg, run: _Run):
     return [cfg["dataset"]]
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "fpt": cmd_fpt,
-    "featurize": cmd_featurize,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "exp-loss": cmd_exp_loss,
-}
+# ---------------------------------------------------------------------------
+# Command declarations: each flag is one row, read by the parser, the
+# config resolver and the required-input check alike
+# ---------------------------------------------------------------------------
 
-REQUIRED_INPUTS = {
-    "ingest": ("input",), "fpt": ("input",), "featurize": ("input",),
-    "train": ("dataset",), "eval": ("dataset", "checkpoint"),
-    "predict": ("dataset", "checkpoint"), "exp-loss": ("dataset",),
+Flag = namedtuple("Flag", "name kind default help required", defaults=(False,))
+Command = namedtuple("Command", "body help flags epilog", defaults=(None,))
+
+
+def _needs(name: str, help_text: str) -> Flag:
+    """A required path flag: no default, so it resolves to None until given."""
+    return Flag(name, str, None, help_text, required=True)
+
+
+def _key(flag: Flag) -> str:
+    return flag.name.replace("-", "_")
+
+
+_DATASET = _needs("dataset", "dataset container path")
+_CHECKPOINT = _needs("checkpoint", "checkpoint path")
+_PRESET = Flag("preset", str, "desk", "model preset: desk or paper")
+_LAM = Flag("lam", float, 1.0, "late-prediction penalty weight (lambda)")
+_SPLIT = "in [0, 0.5]; the held-out share is 1/round(1/f)"
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a synthetic run-to-failure record", (
+        Flag("snapshots", int, 100, "number of snapshots"),
+        Flag("samples", int, 2560, "samples per snapshot"),
+        Flag("onset", int, 50, "fault onset snapshot index"),
+        Flag("growth", float, 2.0, "impulse growth rate, noise sigmas per snapshot"),
+        Flag("noise-std", float, 1.0, "background noise standard deviation"),
+        Flag("kurtosis", float, 3.0, "healthy-stage kurtosis level"),
+        Flag("impulses", int, 20, "impulses per snapshot"),
+        Flag("tone-level", float, 2.0, "defect tone level relative to impulse height"),
+        Flag("tone-low", float, 0.06, "low defect tone frequency / sample rate"),
+        Flag("tone-high", float, 0.17, "high defect tone frequency / sample rate"),
+        Flag("seed", int, 0, "generator seed"),
+        Flag("bearing-id", str, "Bearing9_1", "record name (also the CSV folder name)"),
+    )),
+    "ingest": Command(cmd_ingest, "load a PRONOSTIA-style bearing folder and "
+                      "summarize it", (
+        _needs("input", "bearing directory of acc_*.csv files"),
+        Flag("hor-col", int, 4, "horizontal acceleration column index"),
+        Flag("ver-col", int, 5, "vertical acceleration column index"),
+    )),
+    "fpt": Command(cmd_fpt, "kurtosis series and degradation-onset report", (
+        _needs("input", "bearing directory"),
+        Flag("channel", str, "horizontal", "horizontal, vertical or either"),
+        Flag("baseline", int, None, "healthy baseline snapshot count"),
+        Flag("sigma", float, 3.0, "band width in baseline sigmas"),
+        Flag("consecutive", int, 3, "consecutive exceedances required"),
+        Flag("denoise", bool, False, "denoise snapshots before kurtosis"),
+    )),
+    "featurize": Command(cmd_featurize, "build a labeled dataset from a bearing "
+                         "record", (
+        _needs("input", "bearing directory"),
+        Flag("fpt", str, "auto", "onset index or 'auto'"),
+        Flag("window", int, 10, "snapshots per window"),
+        Flag("stride", int, 5, "window stride in snapshots"),
+        Flag("level", int, 3, "wavelet packet decomposition level"),
+        Flag("denoise", bool, True, "apply the denoising pipeline"),
+        Flag("baseline", int, None, "baseline count for auto onset detection"),
+    )),
+    "train": Command(cmd_train, "train a model on a labeled dataset", (
+        _DATASET, _PRESET,
+        Flag("loss", str, "custom", "loss kind: custom or mse"),
+        _LAM,
+        Flag("lr", float, 1e-4, "Adam learning rate"),
+        Flag("batch-size", int, 16, "samples per optimizer step"),
+        Flag("epochs", int, 100, "training epochs"),
+        Flag("seed", int, 0, "training seed"),
+        Flag("val-fraction", float, 0.0,
+             f"held-out fraction f for per-epoch MAE, {_SPLIT}"),
+    ), epilog="the regression head uses dropout p=0.3 in both presets"),
+    "eval": Command(cmd_eval, "evaluate a checkpoint on a dataset",
+                    (_DATASET, _CHECKPOINT)),
+    "predict": Command(cmd_predict, "per-window RUL predictions and curve plot",
+                       (_DATASET, _CHECKPOINT)),
+    "exp-loss": Command(cmd_exp_loss, "twin training, MSE vs custom loss, on one "
+                        "seed", (
+        _DATASET, _PRESET, _LAM,
+        Flag("lr", float, 1e-3, "Adam learning rate"),
+        Flag("batch-size", int, 8, "samples per optimizer step"),
+        Flag("epochs", int, 30, "training epochs per twin"),
+        Flag("seed", int, 0, "shared data/training seed"),
+        Flag("holdout", float, 0.25,
+             f"held-out fraction f for the comparison, {_SPLIT}"),
+    )),
 }
 
 
@@ -330,91 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluate.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags, epilog=None):
-        p = sub.add_parser(name, help=help_text, epilog=epilog)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, epilog=spec.epilog)
         p.add_argument("--outdir", required=True, help="output directory")
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults (flags override)")
-        for flag, kind, help_s in flags:
-            default = DEFAULTS[name][flag.replace("-", "_")]
-            if kind is bool:
-                p.add_argument(f"--{flag}", action="store_const", const=True,
-                               default=None,
-                               help=f"{help_s} (default {default})")
-                p.add_argument(f"--no-{flag}", dest=flag.replace("-", "_"),
+        for flag in spec.flags:
+            help_s = f"{flag.help} (default {flag.default})"
+            if flag.kind is bool:
+                p.add_argument(f"--{flag.name}", action="store_const", const=True,
+                               default=None, help=help_s)
+                p.add_argument(f"--no-{flag.name}", dest=_key(flag),
                                action="store_const", const=False, default=None,
                                help=argparse.SUPPRESS)
             else:
-                p.add_argument(f"--{flag}", type=kind, default=None,
-                               help=f"{help_s} (default {default})")
-        return p
-
-    add("synth", "generate a synthetic run-to-failure record", [
-        ("snapshots", int, "number of snapshots"),
-        ("samples", int, "samples per snapshot"),
-        ("onset", int, "fault onset snapshot index"),
-        ("growth", float, "impulse growth rate, noise sigmas per snapshot"),
-        ("noise-std", float, "background noise standard deviation"),
-        ("kurtosis", float, "healthy-stage kurtosis level"),
-        ("impulses", int, "impulses per snapshot"),
-        ("tone-level", float, "defect tone level relative to impulse height"),
-        ("tone-low", float, "low defect tone frequency / sample rate"),
-        ("tone-high", float, "high defect tone frequency / sample rate"),
-        ("seed", int, "generator seed"),
-        ("bearing-id", str, "record name (also the CSV folder name)"),
-    ])
-    add("ingest", "load a PRONOSTIA-style bearing folder and summarize it", [
-        ("input", str, "bearing directory of acc_*.csv files"),
-        ("hor-col", int, "horizontal acceleration column index"),
-        ("ver-col", int, "vertical acceleration column index"),
-    ])
-    add("fpt", "kurtosis series and degradation-onset report", [
-        ("input", str, "bearing directory"),
-        ("channel", str, "horizontal, vertical or either"),
-        ("baseline", int, "healthy baseline snapshot count"),
-        ("sigma", float, "band width in baseline sigmas"),
-        ("consecutive", int, "consecutive exceedances required"),
-        ("denoise", bool, "denoise snapshots before kurtosis"),
-    ])
-    add("featurize", "build a labeled dataset from a bearing record", [
-        ("input", str, "bearing directory"),
-        ("fpt", str, "onset index or 'auto'"),
-        ("window", int, "snapshots per window"),
-        ("stride", int, "window stride in snapshots"),
-        ("level", int, "wavelet packet decomposition level"),
-        ("denoise", bool, "apply the denoising pipeline"),
-        ("baseline", int, "baseline count for auto onset detection"),
-    ])
-    add("train", "train a model on a labeled dataset", [
-        ("dataset", str, "dataset container path"),
-        ("preset", str, "model preset: desk or paper"),
-        ("loss", str, "loss kind: custom or mse"),
-        ("lam", float, "late-prediction penalty weight (lambda)"),
-        ("lr", float, "Adam learning rate"),
-        ("batch-size", int, "samples per optimizer step"),
-        ("epochs", int, "training epochs"),
-        ("seed", int, "training seed"),
-        ("val-fraction", float, "held-out fraction for per-epoch MAE"),
-    ], epilog="the regression head uses dropout p=0.3 in both presets")
-    add("eval", "evaluate a checkpoint on a dataset", [
-        ("dataset", str, "dataset container path"),
-        ("checkpoint", str, "checkpoint path"),
-    ])
-    add("predict", "per-window RUL predictions and curve plot", [
-        ("dataset", str, "dataset container path"),
-        ("checkpoint", str, "checkpoint path"),
-    ])
-    add("exp-loss", "twin training, MSE vs custom loss, on one seed", [
-        ("dataset", str, "dataset container path"),
-        ("preset", str, "model preset: desk or paper"),
-        ("lam", float, "late-prediction penalty weight (lambda)"),
-        ("lr", float, "Adam learning rate"),
-        ("batch-size", int, "samples per optimizer step"),
-        ("epochs", int, "training epochs per twin"),
-        ("seed", int, "shared data/training seed"),
-        ("holdout", float, "held-out fraction for the comparison"),
-    ])
+                p.add_argument(f"--{flag.name}", type=flag.kind, default=None,
+                               help=help_s)
 
     rerun = sub.add_parser("rerun", help="re-execute a run from its manifest")
     rerun.add_argument("manifest", help="path to a manifest.json")
@@ -423,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[command])
+    cfg = {_key(f): f.default for f in COMMANDS[command].flags}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         for key, value in file_cfg.items():
@@ -438,14 +419,16 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def execute(command: str, cfg: dict, outdir) -> None:
-    missing = [k for k in REQUIRED_INPUTS.get(command, ()) if not cfg.get(k)]
+    spec = COMMANDS[command]
+    missing = [f"--{f.name}" for f in spec.flags
+               if f.required and not cfg.get(_key(f))]
     if missing:
         raise CliUsageError(f"{command}: missing required option(s) "
-                            + ", ".join(f"--{m}" for m in missing))
+                            + ", ".join(missing))
     run = _Run(outdir)
     started = time.time()
     try:
-        inputs = COMMANDS[command](cfg, run)
+        inputs = spec.body(cfg, run)
     except BaseException:
         run.discard_all()
         raise

@@ -55,6 +55,14 @@ class OrderTooHigh(ValueError, BearingRulError):
 
 # --- featurization ---
 
+class InvalidRecord(ValueError, DataError):
+    """A BearingRecord with bad shapes or non-finite samples."""
+
+
+class InvalidSample(ValueError, DataError):
+    """A WPD image or labeled sample with bad shape, pixels or label."""
+
+
 class RecordTooShort(DataError):
     pass
 

@@ -17,6 +17,8 @@ from . import wavelets
 from .errors import (
     BaselineTooShort,
     FptOutOfRange,
+    InvalidRecord,
+    InvalidSample,
     NoPostFptWindows,
     RecordTooShort,
     ZeroVariance,
@@ -46,12 +48,12 @@ class BearingRecord:
         self.horizontal = np.asarray(self.horizontal, dtype=np.float64)
         self.vertical = np.asarray(self.vertical, dtype=np.float64)
         if self.horizontal.ndim != 2 or self.horizontal.shape[0] < 1:
-            raise ValueError("record needs at least one snapshot")
+            raise InvalidRecord("record needs at least one snapshot")
         if self.horizontal.shape != self.vertical.shape:
-            raise ValueError("channel arrays must have identical shape")
+            raise InvalidRecord("channel arrays must have identical shape")
         if not (np.all(np.isfinite(self.horizontal))
                 and np.all(np.isfinite(self.vertical))):
-            raise ValueError("record samples must be finite")
+            raise InvalidRecord("record samples must be finite")
 
     @property
     def n_snapshots(self) -> int:
@@ -201,9 +203,9 @@ class WpdImage:
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float32)
         if self.pixels.shape != (IMAGE_SIDE, IMAGE_SIDE):
-            raise ValueError(f"pixels must be {IMAGE_SIDE}x{IMAGE_SIDE}")
+            raise InvalidSample(f"pixels must be {IMAGE_SIDE}x{IMAGE_SIDE}")
         if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("pixels must be finite")
+            raise InvalidSample("pixels must be finite")
 
 
 def normalize_image(raw: np.ndarray) -> np.ndarray:
@@ -263,7 +265,7 @@ class LabeledSample:
     def __post_init__(self):
         self.label = float(np.float32(self.label))
         if not 0.0 <= self.label <= 1.0:
-            raise ValueError(f"label {self.label} outside [0, 1]")
+            raise InvalidSample(f"label {self.label} outside [0, 1]")
 
 
 def preprocess_record(record: BearingRecord, denoise_levels: int = 2,

@@ -426,14 +426,6 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
     return ad.reshape(out, (n,))
 
 
-def forward(sample, params: ModelParams, cfg: ModelConfig,
-            training: bool = False, rng=None) -> float:
-    """Predicted RUL for one LabeledSample."""
-    hor = prepare_images([sample.hor.pixels], cfg.input_side)
-    ver = prepare_images([sample.ver.pixels], cfg.input_side)
-    return float(forward_batch(params, cfg, hor, ver, training, rng).data[0])
-
-
 def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
                   batch_size: int = 64) -> np.ndarray:
     """Deterministic (dropout-off) predictions for a list of samples."""

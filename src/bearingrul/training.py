@@ -47,7 +47,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.eps) <= 0:
@@ -96,10 +95,6 @@ def mse_loss(batch: PredictionBatch) -> float:
     return float(np.mean(batch.errors ** 2))
 
 
-def loss_value(batch: PredictionBatch, cfg: LossConfig) -> float:
-    return mse_loss(batch) if cfg.kind == "mse" else custom_loss(batch, cfg.lam)
-
-
 def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tensor:
     """Differentiable loss on a prediction tensor.
 
@@ -125,10 +120,10 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig,
-              t: Optional[int] = None) -> AdamState:
+def adam_step(params: dict, grads: dict, state: AdamState,
+              cfg: TrainConfig) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter tensors."""
-    state.t = state.t + 1 if t is None else t
+    state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
@@ -190,8 +185,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     history = []
     step = 0
     for epoch in range(train_cfg.epochs):
-        order = (shuffle_rng.permutation(len(dataset)) if train_cfg.shuffle
-                 else np.arange(len(dataset)))
+        order = shuffle_rng.permutation(len(dataset))
         loss_sum, n_seen = 0.0, 0
         for start in range(0, len(dataset), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]

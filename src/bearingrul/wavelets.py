@@ -26,30 +26,8 @@ from .errors import (
 SQRT2 = np.sqrt(2.0)
 
 
-@dataclass
-class SignalVector:
-    """One channel of vibration data at a fixed sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise EmptyInput("SignalVector needs a non-empty 1-D sample array")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("SignalVector samples must be finite")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-
-    def __len__(self):
-        return self.samples.size
-
-
 def _as_samples(x):
-    """Accept a SignalVector or anything array-like; return float64 1-D array."""
-    if isinstance(x, SignalVector):
-        return x.samples
+    """Accept anything array-like; return a float64 1-D array."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D signal")
@@ -224,26 +202,9 @@ class WpdTree:
 
     level: int
     subbands: list
-    ordering: str = "natural"
 
     def energy(self):
         return sum(float((b ** 2).sum()) for b in self.subbands)
-
-    def as_sequency(self) -> "WpdTree":
-        """Gray-code permuted view, subbands ordered by frequency content."""
-        perm = sequency_permutation(self.level)
-        return WpdTree(level=self.level,
-                       subbands=[self.subbands[i] for i in perm],
-                       ordering="sequency")
-
-
-def sequency_permutation(level: int):
-    """Natural-order indices arranged by increasing sequency (Gray code).
-
-    Index i in the result is i ^ (i >> 1): the natural (filter-path) index
-    of the i-th lowest-frequency subband.
-    """
-    return [i ^ (i >> 1) for i in range(1 << level)]
 
 
 def wpd(x, level: int, fb: FilterBank = None) -> WpdTree:
@@ -298,8 +259,7 @@ def wavelet_denoise(x, levels: int = 2, fb: FilterBank = None):
     """Soft-threshold all detail bands; approximation passes through.
 
     The noise scale is estimated once from the level-1 detail band and the
-    resulting universal threshold is applied to every detail level. Returns
-    the same type as the input (SignalVector in, SignalVector out).
+    resulting universal threshold is applied to every detail level.
     """
     if fb is None:
         fb = db5_filters()
@@ -307,10 +267,7 @@ def wavelet_denoise(x, levels: int = 2, fb: FilterBank = None):
     coeffs = dwt(samples, levels, fb)
     t = universal_threshold(coeffs.details[0], samples.size)
     coeffs.details = [soft_threshold(d, t) for d in coeffs.details]
-    out = idwt(coeffs, fb)
-    if isinstance(x, SignalVector):
-        return SignalVector(samples=out, sample_rate_hz=x.sample_rate_hz)
-    return out
+    return idwt(coeffs, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +312,7 @@ def savgol_kernel(window: int = 5, order: int = 2) -> SavGolKernel:
 def savgol_filter(x, kernel: SavGolKernel = None):
     """Smooth by centered convolution; mirror-extend the boundaries.
 
-    Returns the same type as the input, with unchanged length.
+    The output has the input's length.
     """
     if kernel is None:
         kernel = savgol_kernel()
@@ -365,10 +322,7 @@ def savgol_filter(x, kernel: SavGolKernel = None):
             f"signal length {samples.size} < window {kernel.window}")
     half = kernel.window // 2
     padded = np.pad(samples, half, mode="reflect")
-    out = np.convolve(padded, kernel.weights[::-1], mode="valid")
-    if isinstance(x, SignalVector):
-        return SignalVector(samples=out, sample_rate_hz=x.sample_rate_hz)
-    return out
+    return np.convolve(padded, kernel.weights[::-1], mode="valid")
 
 
 # ---------------------------------------------------------------------------

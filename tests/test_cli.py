@@ -1,4 +1,6 @@
 import json
+import shutil
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -166,6 +168,80 @@ def test_failed_command_removes_partial_outputs(tmp_path):
     assert code == 3
     assert not list(out.iterdir())
     assert not (out / "manifest.json").exists()
+
+
+# --- bad records, bad samples and bad split fractions ---
+
+def _assert_one_line_failure(capsys, code, expected_code, out):
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert not out.exists() or not list(out.iterdir())
+    return err
+
+
+def test_nan_in_record_exits_three(record_dir, tmp_path, capsys):
+    bad = tmp_path / "Bearing9_1"
+    shutil.copytree(record_dir, bad)
+    csv = sorted(bad.glob("acc_*.csv"))[3]
+    lines = csv.read_text().splitlines()
+    fields = lines[0].split(",")
+    fields[4] = "nan"
+    lines[0] = ",".join(fields)
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    err = _assert_one_line_failure(
+        capsys, run_cli("ingest", "--input", str(bad), "--outdir", str(out)), 3, out)
+    assert err.startswith("InvalidRecord:")
+
+
+def _corrupt_label(blob):
+    blob[20 + 2 * 4096 * 4:20 + 2 * 4096 * 4 + 4] = struct.pack("<f", 1.5)
+
+
+def _corrupt_pixel(blob):
+    blob[20:24] = struct.pack("<f", float("inf"))
+
+
+def _small_images(blob):
+    blob[:] = struct.pack("<4sIIII", b"WPDS", 1, 1, 32, 32) + bytes(
+        (2 * 32 * 32 + 1) * 4)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_label, _corrupt_pixel,
+                                     _small_images])
+def test_bad_dataset_sample_exits_three(corrupt, dataset_path, checkpoint_path,
+                                        tmp_path, capsys):
+    blob = bytearray(dataset_path.read_bytes())
+    corrupt(blob)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("InvalidSample:")
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--val-fraction", "0.9"), ("train", "--val-fraction", "-0.1"),
+    ("exp-loss", "--holdout", "0.9"), ("exp-loss", "--holdout", "-0.25")])
+def test_split_fraction_out_of_range_exits_two(command, flag, value,
+                                               dataset_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(command, "--dataset", str(dataset_path), "--outdir", str(out),
+                   "--epochs", "1", "--batch-size", "2", flag, value)
+    err = _assert_one_line_failure(capsys, code, 2, out)
+    assert err == f"InvalidConfig: {flag} {float(value)} outside [0, 0.5]\n"
+
+
+def test_split_holds_out_every_round_inverse_fraction_th_sample():
+    samples = list(range(13))
+    assert cli._split_dataset(samples, 0.0, 0) == (samples, [])
+    for fraction, period in ((0.5, 2), (0.4, 2), (0.3, 3), (0.25, 4), (0.1, 10)):
+        train, val = cli._split_dataset(samples, fraction, 1)
+        assert val == samples[1::period]
+        assert sorted(train + val) == samples
 
 
 # --- exit codes and help ---

@@ -168,19 +168,17 @@ def test_wpd_too_short():
         wv.wpd(np.ones(4), 3)
 
 
-def test_sequency_order_is_gray_code():
-    assert wv.sequency_permutation(3) == [0, 1, 3, 2, 6, 7, 5, 4]
-
-
 def test_sequency_view_orders_tones_by_frequency():
     # pure tones of increasing frequency should concentrate energy in
-    # increasing sequency-position subbands
+    # increasing sequency-position subbands; the i-th lowest-frequency
+    # subband sits at natural (filter-path) index i ^ (i >> 1), a Gray code
     n = 4096
     t = np.arange(n)
+    gray = [i ^ (i >> 1) for i in range(8)]
     peaks = []
     for cycles_per_sample in (0.03, 0.15, 0.28, 0.42):
-        tree = wv.wpd(np.sin(2 * np.pi * cycles_per_sample * t), 3).as_sequency()
-        energies = [(b ** 2).sum() for b in tree.subbands]
+        tree = wv.wpd(np.sin(2 * np.pi * cycles_per_sample * t), 3)
+        energies = [(tree.subbands[i] ** 2).sum() for i in gray]
         peaks.append(int(np.argmax(energies)))
     assert peaks == sorted(peaks)
     assert peaks[0] < peaks[-1]
@@ -263,13 +261,6 @@ def test_denoise_improves_sinusoid_correlation():
 def test_denoise_preserves_length(n):
     x = np.random.default_rng(n).normal(size=n)
     assert wv.wavelet_denoise(x).size == n
-
-
-def test_denoise_signalvector_roundtrip():
-    sv = wv.SignalVector(np.random.default_rng(9).normal(size=128), 25600.0)
-    out = wv.wavelet_denoise(sv)
-    assert isinstance(out, wv.SignalVector)
-    assert out.sample_rate_hz == 25600.0
 
 
 # --- Savitzky-Golay ---
