@@ -129,11 +129,6 @@ def mul(a, b):
                               _unbroadcast(g * a.data, b.data.shape)))
 
 
-def neg(a):
-    a = _wrap(a)
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0

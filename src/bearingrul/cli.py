@@ -6,14 +6,20 @@ artifacts plus a manifest.json into --outdir. The manifest records the
 command, tool version, resolved config, input paths and wall-clock time;
 `rerun <manifest> --outdir NEW` re-executes the recorded run and, because
 every pipeline stage is seeded and deterministic, reproduces the
-artifacts byte for byte. On failure, partially written artifacts are
-removed and the process exits 2 (usage), 3 (data error) or 4 (numeric
-error) with a single machine-parseable line on stderr.
+artifacts byte for byte. A run removes any old manifest.json, writes into
+a `.stage-*` directory inside --outdir and, only on success, moves the
+staged artifacts into --outdir, manifest.json last. A killed process may
+leave a `.stage-*` directory, never a partial file under an artifact's
+name. On failure the process exits 2 (usage), 3 (data error) or 4
+(numeric error) with a single machine-parseable line on stderr.
 """
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from collections import namedtuple
 from pathlib import Path
@@ -28,54 +34,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-class _Run:
-    """Tracks artifacts so a failed command leaves no partial outputs."""
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
-    def __init__(self, outdir):
-        self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.artifacts = []
 
-    def path(self, name: str) -> Path:
-        p = self.outdir / name
-        self.artifacts.append(p)
-        return p
-
-    def write_text(self, name: str, text: str) -> Path:
-        p = self.path(name)
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return p
-
-    def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-    def discard_all(self):
-        for p in self.artifacts:
-            if p.is_dir():
-                for child in sorted(p.rglob("*"), reverse=True):
-                    if child.is_file():
-                        child.unlink()
-                    else:
-                        child.rmdir()
-                p.rmdir()
-            elif p.exists():
-                p.unlink()
-
-    def finish(self, command: str, config: dict, inputs, started: float):
-        manifest = {
-            "command": command,
-            "tool_version": __version__,
-            "config": config,
-            "inputs": [str(i) for i in inputs],
-            "outdir": str(self.outdir),
-            "artifacts": sorted(p.name for p in self.artifacts),
-            "timings": {"wall_s": round(time.time() - started, 3)},
-        }
-        with open(self.outdir / "manifest.json", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _csv(rows, header) -> str:
@@ -87,10 +52,10 @@ def _csv(rows, header) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command bodies (config dict in, artifacts out)
+# Command bodies (config dict in, artifacts into the staging directory)
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg, run: _Run):
+def cmd_synth(cfg, out: Path):
     scfg = dataio.SyntheticConfig(
         n_snapshots=cfg["snapshots"], samples_per_snapshot=cfg["samples"],
         healthy_kurtosis_level=cfg["kurtosis"], fault_onset_index=cfg["onset"],
@@ -99,9 +64,8 @@ def cmd_synth(cfg, run: _Run):
         tone_level=cfg["tone_level"], tone_freq_low=cfg["tone_low"],
         tone_freq_high=cfg["tone_high"], bearing_id=cfg["bearing_id"])
     record = dataio.gen_synthetic(scfg)
-    record_dir = run.path(cfg["bearing_id"])
-    dataio.save_record_csvdir(record, record_dir)
-    run.write_json("record_summary.json", _record_summary(record))
+    dataio.save_record_csvdir(record, out / cfg["bearing_id"])
+    _write_json(out / "record_summary.json", _record_summary(record))
     return []
 
 
@@ -120,14 +84,14 @@ def _record_summary(record) -> dict:
     }
 
 
-def cmd_ingest(cfg, run: _Run):
+def cmd_ingest(cfg, out: Path):
     record = dataio.load_pronostia_bearing(cfg["input"], hor_col=cfg["hor_col"],
                                            ver_col=cfg["ver_col"])
-    run.write_json("record_summary.json", _record_summary(record))
+    _write_json(out / "record_summary.json", _record_summary(record))
     return [cfg["input"]]
 
 
-def cmd_fpt(cfg, run: _Run):
+def cmd_fpt(cfg, out: Path):
     record = dataio.load_pronostia_bearing(cfg["input"])
     if cfg["denoise"]:
         record = features.preprocess_record(record)
@@ -135,51 +99,49 @@ def cmd_fpt(cfg, run: _Run):
                               sigma_multiplier=cfg["sigma"],
                               consecutive_required=cfg["consecutive"],
                               channel_policy=cfg["channel"])
-    if cfg["channel"] == "either":
-        fpt = features.detect_fpt_record(record, fcfg)
-        series = features.kurtosis_series(record, "horizontal")
-    else:
-        series = features.kurtosis_series(record, cfg["channel"])
-        fpt = features.detect_fpt(series, fcfg)
+    fpt, channel = features.detect_fpt_record(record, fcfg)
+    series = features.kurtosis_series(record, channel)
     baseline = fcfg.resolve_baseline(series.size)
     mu = float(series[:baseline].mean())
     sigma = float(series[:baseline].std(ddof=1))
-    run.write_text("kurtosis.csv",
-                   _csv(enumerate(series.tolist()), ("snapshot", "kurtosis")))
-    run.write_json("fpt.json", {
-        "fpt": fpt, "channel": cfg["channel"], "baseline_count": baseline,
-        "mu": mu, "sigma": sigma,
-        "band": [mu - cfg["sigma"] * sigma, mu + cfg["sigma"] * sigma],
+    lo, hi = mu - cfg["sigma"] * sigma, mu + cfg["sigma"] * sigma
+    _write_text(out / "kurtosis.csv",
+                _csv(enumerate(series.tolist()), ("snapshot", "kurtosis")))
+    _write_json(out / "fpt.json", {
+        "fpt": fpt, "channel": channel, "baseline_count": baseline,
+        "mu": mu, "sigma": sigma, "band": [lo, hi],
         "consecutive_required": cfg["consecutive"],
     })
     idx = list(range(series.size))
-    run.write_text("kurtosis.svg", plotting.line_chart_svg(
+    _write_text(out / "kurtosis.svg", plotting.line_chart_svg(
         [("kurtosis", idx, series.tolist()),
-         ("band hi", idx, [mu + cfg["sigma"] * sigma] * series.size),
-         ("band lo", idx, [mu - cfg["sigma"] * sigma] * series.size)],
+         ("band hi", idx, [hi] * series.size),
+         ("band lo", idx, [lo] * series.size)],
         title="Snapshot kurtosis and healthy band",
         xlabel="snapshot", ylabel="kurtosis"))
     return [cfg["input"]]
 
 
-def cmd_featurize(cfg, run: _Run):
+def cmd_featurize(cfg, out: Path):
     record = dataio.load_pronostia_bearing(cfg["input"])
     if cfg["fpt"] == "auto":
-        fpt = features.detect_fpt_record(
+        fpt, _ = features.detect_fpt_record(
             record, features.FptConfig(baseline_count=cfg["baseline"]))
         if fpt is None:
             raise DataError("no degradation onset detected; cannot label")
     else:
-        fpt = int(cfg["fpt"])
+        try:
+            fpt = int(cfg["fpt"])
+        except ValueError:
+            raise InvalidConfig(
+                f"--fpt {cfg['fpt']!r} is neither an integer nor 'auto'") from None
     samples = features.build_dataset(record, fpt, size=cfg["window"],
                                      stride=cfg["stride"], level=cfg["level"],
                                      denoise=cfg["denoise"])
     meta = {"window": cfg["window"], "stride": cfg["stride"],
             "level": cfg["level"], "denoise": cfg["denoise"]}
-    out = run.path("dataset.bin")
-    run.artifacts.append(Path(str(out) + ".json"))
-    dataio.save_dataset(samples, out, bearing_id=record.bearing_id, fpt=fpt,
-                        config=meta)
+    dataio.save_dataset(samples, out / "dataset.bin",
+                        bearing_id=record.bearing_id, fpt=fpt, config=meta)
     return [cfg["input"]]
 
 
@@ -211,13 +173,13 @@ def _training_setup(cfg, split: str):
     return train_set, val_set, mcfg, tcfg
 
 
-def cmd_train(cfg, run: _Run):
+def cmd_train(cfg, out: Path):
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "val_fraction")
     lcfg = training.LossConfig(kind=cfg["loss"], lam=cfg["lam"])
     params, history = training.train(train_set, mcfg, tcfg, lcfg,
                                      val_dataset=val_set or None)
-    dataio.save_checkpoint(params, mcfg, run.path("checkpoint.ckpt"))
-    run.write_text("history.csv", _csv(
+    dataio.save_checkpoint(params, mcfg, out / "checkpoint.ckpt")
+    _write_text(out / "history.csv", _csv(
         [(h.epoch, h.train_loss, "" if h.val_mae is None else repr(h.val_mae))
          for h in history],
         ("epoch", "loss", "val_mae")))
@@ -226,7 +188,7 @@ def cmd_train(cfg, run: _Run):
         series = [("train loss", epochs, [h.train_loss for h in history])]
         if history[0].val_mae is not None:
             series.append(("val MAE", epochs, [h.val_mae for h in history]))
-        run.write_text("history.svg", plotting.line_chart_svg(
+        _write_text(out / "history.svg", plotting.line_chart_svg(
             series, title="Training history", xlabel="epoch", ylabel="loss"))
     return [cfg["dataset"]]
 
@@ -238,28 +200,28 @@ def _evaluate(cfg):
     return preds, np.array([s.label for s in samples])
 
 
-def cmd_eval(cfg, run: _Run):
+def cmd_eval(cfg, out: Path):
     preds, targets = _evaluate(cfg)
     batch = training.PredictionBatch(preds, targets)
-    run.write_json("metrics.json", training.metrics_report(batch))
+    _write_json(out / "metrics.json", training.metrics_report(batch))
     return [cfg["dataset"], cfg["checkpoint"]]
 
 
-def cmd_predict(cfg, run: _Run):
+def cmd_predict(cfg, out: Path):
     preds, targets = _evaluate(cfg)
     rows = [(i, float(t), float(p), float(p - t))
             for i, (p, t) in enumerate(zip(preds, targets))]
-    run.write_text("predictions.csv",
-                   _csv(rows, ("window_index", "true_rul", "pred_rul", "error")))
+    _write_text(out / "predictions.csv",
+                _csv(rows, ("window_index", "true_rul", "pred_rul", "error")))
     idx = [r[0] for r in rows]
-    run.write_text("rul_curve.svg", plotting.line_chart_svg(
+    _write_text(out / "rul_curve.svg", plotting.line_chart_svg(
         [("true RUL", idx, [r[1] for r in rows]),
          ("predicted RUL", idx, [r[2] for r in rows])],
         title="Predicted vs true RUL", xlabel="window", ylabel="normalized RUL"))
     return [cfg["dataset"], cfg["checkpoint"]]
 
 
-def cmd_exp_loss(cfg, run: _Run):
+def cmd_exp_loss(cfg, out: Path):
     """Twin training: identical data and seed, MSE vs hinge-penalized loss."""
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "holdout")
     if not val_set:
@@ -272,12 +234,12 @@ def cmd_exp_loss(cfg, run: _Run):
         preds = model.predict_batch(params, mcfg, val_set)
         report[kind] = training.metrics_report(
             training.PredictionBatch(preds, targets))
-        run.write_text(f"history_{kind}.csv", _csv(
+        _write_text(out / f"history_{kind}.csv", _csv(
             [(h.epoch, h.train_loss) for h in history], ("epoch", "loss")))
     report["delta"] = {k: report["custom"][k] - report["mse"][k]
                        for k in ("mae", "score_mean", "late_fraction")}
     report["lambda"] = cfg["lam"]
-    run.write_json("exp_loss.json", report)
+    _write_json(out / "exp_loss.json", report)
     return [cfg["dataset"]]
 
 
@@ -403,14 +365,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
+def _checked_config(command, values, source: str) -> dict:
+    """The command's defaults overlaid with a config file's or manifest's values.
+
+    Checks what argparse would: a known command, known keys, and each value
+    of its flag's JSON type; an int passes for a float, null for a None default.
+    """
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise DataError(f"{source}: unknown command {command!r}")
+    if not isinstance(values, dict):
+        raise DataError(f"{source}: config must be a JSON object")
+    flags = {_key(f): f for f in COMMANDS[command].flags}
+    for key, value in values.items():
+        flag = flags.get(key)
+        if flag is None:
+            raise DataError(f"{source}: unknown option {key!r}")
+        if not (value is None and flag.default is None
+                or isinstance(value, _JSON_TYPES[flag.kind])
+                and isinstance(value, bool) == (flag.kind is bool)):
+            raise DataError(f"{source}: option {key!r} must be a JSON "
+                            f"{flag.kind.__name__}, not {value!r}")
+    return {key: values.get(key, flag.default) for key, flag in flags.items()}
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = {_key(f): f.default for f in COMMANDS[command].flags}
+    file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        for key, value in file_cfg.items():
-            if key not in cfg:
-                raise DataError(f"config file: unknown option {key!r}")
-            cfg[key] = value
+    cfg = _checked_config(command, file_cfg, "config file")
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
@@ -419,20 +404,31 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def execute(command: str, cfg: dict, outdir) -> None:
+    """Run `command` in a staging directory; commit its artifacts on success."""
     spec = COMMANDS[command]
     missing = [f"--{f.name}" for f in spec.flags
                if f.required and not cfg.get(_key(f))]
     if missing:
         raise CliUsageError(f"{command}: missing required option(s) "
                             + ", ".join(missing))
-    run = _Run(outdir)
+    outdir = Path(outdir)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    try:
-        inputs = spec.body(cfg, run)
-    except BaseException:
-        run.discard_all()
-        raise
-    run.finish(command, cfg, inputs, started)
+    with tempfile.TemporaryDirectory(prefix=".stage-", dir=outdir) as tmp:
+        stage = Path(tmp)
+        inputs = spec.body(cfg, stage)
+        artifacts = sorted(p.name for p in stage.iterdir())
+        _write_json(stage / "manifest.json", {
+            "command": command, "tool_version": __version__, "config": cfg,
+            "inputs": [str(i) for i in inputs], "outdir": str(outdir),
+            "artifacts": artifacts,
+            "timings": {"wall_s": round(time.time() - started, 3)}})
+        for name in artifacts + ["manifest.json"]:
+            target = outdir / name
+            if (stage / name).is_dir() and target.is_dir():
+                shutil.rmtree(target)
+            os.replace(stage / name, target)
 
 
 class CliUsageError(Exception):
@@ -444,7 +440,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            execute(manifest["command"], manifest["config"], args.outdir)
+            if not isinstance(manifest, dict):
+                raise DataError("manifest: not a JSON object")
+            command = manifest.get("command")
+            execute(command, _checked_config(command, manifest.get("config"),
+                                             "manifest"), args.outdir)
         else:
             execute(args.command, _resolve_config(args.command, args), args.outdir)
     except CliUsageError as exc:

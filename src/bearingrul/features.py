@@ -17,6 +17,7 @@ from . import wavelets
 from .errors import (
     BaselineTooShort,
     FptOutOfRange,
+    InvalidConfig,
     InvalidRecord,
     InvalidSample,
     NoPostFptWindows,
@@ -89,7 +90,7 @@ def sliding_windows(record, size: int = 10, stride: int = 5):
     """Windows at starts 0, stride, 2*stride, ...; trailing remainder dropped."""
     n = record.n_snapshots if isinstance(record, BearingRecord) else int(record)
     if size < 1 or stride < 1:
-        raise ValueError("size and stride must be >= 1")
+        raise InvalidConfig("size and stride must be >= 1")
     if n < size:
         raise RecordTooShort(f"{n} snapshots < window size {size}")
     count = (n - size) // stride + 1
@@ -123,11 +124,11 @@ class FptConfig:
 
     def __post_init__(self):
         if self.baseline_count is not None and self.baseline_count < 4:
-            raise ValueError("baseline_count must be >= 4")
+            raise InvalidConfig("baseline_count must be >= 4")
         if self.consecutive_required < 1:
-            raise ValueError("consecutive_required must be >= 1")
+            raise InvalidConfig("consecutive_required must be >= 1")
         if self.channel_policy not in CHANNELS + ("either",):
-            raise ValueError(f"unknown channel_policy {self.channel_policy!r}")
+            raise InvalidConfig(f"unknown channel_policy {self.channel_policy!r}")
 
     def resolve_baseline(self, n: int) -> int:
         if self.baseline_count is not None:
@@ -166,14 +167,16 @@ def detect_fpt(k, cfg: FptConfig = None):
 def detect_fpt_record(record: BearingRecord, cfg: FptConfig = None):
     """Run detect_fpt on the record per the configured channel policy.
 
-    Policy "either" takes the earliest FPT over both channels.
+    Returns (fpt, channel). Policy "either" takes the earliest FPT over
+    both channels, horizontal on a tie. The channel is the one that set
+    the FPT, or the policy's first channel when no FPT is found.
     """
     if cfg is None:
         cfg = FptConfig()
     channels = CHANNELS if cfg.channel_policy == "either" else (cfg.channel_policy,)
-    hits = [f for ch in channels
+    hits = [(f, ch) for ch in channels
             if (f := detect_fpt(kurtosis_series(record, ch), cfg)) is not None]
-    return min(hits) if hits else None
+    return min(hits, key=lambda hit: hit[0]) if hits else (None, channels[0])
 
 
 def assign_labels(record_length: int, fpt: int):
@@ -238,7 +241,7 @@ def wpd_image(window_signal, level: int = 3, fb=None, channel: str = "",
     n_bands = len(tree.subbands)
     rows_per_band = IMAGE_SIDE // n_bands
     if rows_per_band < 1:
-        raise ValueError(f"level {level} yields more subbands than image rows")
+        raise InvalidConfig(f"level {level} yields more subbands than image rows")
     per_band = rows_per_band * IMAGE_SIDE
     raw = np.empty((IMAGE_SIDE, IMAGE_SIDE))
     for b, band in enumerate(tree.subbands):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .errors import DivergedLoss, EmptyBatch, EmptyDataset, ShapeMismatch
+from .errors import (DivergedLoss, EmptyBatch, EmptyDataset, InvalidConfig,
+                     ShapeMismatch)
 
 HINGE_RATE = 5.0    # divisor of late (positive) errors in the score
 EARLY_RATE = 15.0   # divisor of early (negative) errors in the score
@@ -33,9 +34,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in ("custom", "mse"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise InvalidConfig(f"unknown loss kind {self.kind!r}")
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise InvalidConfig("lam must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.eps) <= 0:
-            raise ValueError("learning_rate, batch_size and eps must be positive")
+            raise InvalidConfig("learning_rate, batch_size and eps must be positive")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise InvalidConfig("epochs must be >= 0")
 
 
 @dataclass

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    InvalidConfig,
     InvalidWindow,
     LengthMismatch,
     NegativeThreshold,
@@ -212,7 +213,7 @@ def wpd(x, level: int, fb: FilterBank = None) -> WpdTree:
     if fb is None:
         fb = db5_filters()
     if level < 1:
-        raise ValueError("level must be >= 1")
+        raise InvalidConfig("level must be >= 1")
     sig = _as_samples(x)
     if sig.size < 2 ** level:
         raise SignalTooShort(

@@ -1,18 +1,31 @@
 import json
+import os
 import shutil
 import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bearingrul import cli, dataio, features as ft, model as md
+from bearingrul import cli, dataio, features as ft, model as md, plotting
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def run_module(*argv):
+    """`python -m bearingrul.cli` in a child process, with src/ importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "bearingrul.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +82,23 @@ def test_fpt_report(record_dir, tmp_path):
     assert report["fpt"] is not None and 40 <= report["fpt"] <= 55
     assert (tmp_path / "kurtosis.csv").exists()
     ET.fromstring((tmp_path / "kurtosis.svg").read_text())
+
+
+def test_fpt_either_reports_the_channel_that_set_the_fpt(tmp_path):
+    rng = np.random.default_rng(8)
+    hor = rng.normal(size=(60, 512))
+    ver = rng.normal(size=(60, 512))
+    ver[30:, ::16] += 12.0   # fault only on the vertical channel
+    record = ft.BearingRecord(horizontal=hor, vertical=ver, sample_rate_hz=1.0)
+    dataio.save_record_csvdir(record, tmp_path / "rec")
+    for channel in ("either", "vertical"):
+        assert run_cli("fpt", "--input", str(tmp_path / "rec"), "--outdir",
+                       str(tmp_path / channel), "--channel", channel) == 0
+    report = json.loads((tmp_path / "either" / "fpt.json").read_text())
+    assert report["channel"] == "vertical" and 28 <= report["fpt"] <= 33
+    for artifact in ("fpt.json", "kurtosis.csv", "kurtosis.svg"):
+        assert ((tmp_path / "either" / artifact).read_bytes()
+                == (tmp_path / "vertical" / artifact).read_bytes())
 
 
 def test_featurize_dataset_contents(dataset_path):
@@ -170,6 +200,47 @@ def test_failed_command_removes_partial_outputs(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_failed_run_removes_the_earlier_manifest(record_dir, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--input", str(record_dir), "--outdir", str(out)) == 0
+    summary = (out / "record_summary.json").read_bytes()
+    assert run_cli("ingest", "--input", str(tmp_path / "missing"),
+                   "--outdir", str(out)) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["record_summary.json"]
+    assert (out / "record_summary.json").read_bytes() == summary
+
+
+def test_failed_train_keeps_the_earlier_artifacts(dataset_path, checkpoint_path,
+                                                  tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(checkpoint_path.parent, out)
+    before = {name: (out / name).read_bytes()
+              for name in ("checkpoint.ckpt", "history.csv")}
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(plotting, "line_chart_svg", fail)
+    assert run_cli("train", "--dataset", str(dataset_path), "--outdir", str(out),
+                   "--epochs", "1", "--batch-size", "8", "--seed", "3") == 3
+    for name, blob in before.items():
+        assert (out / name).read_bytes() == blob
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".stage-*"))
+
+
+def test_synth_replaces_the_earlier_record(tmp_path):
+    out = tmp_path / "out"
+    for snapshots in ("30", "20"):
+        assert run_cli("synth", "--outdir", str(out), "--snapshots", snapshots,
+                       "--samples", "64", "--onset", "10") == 0
+    assert len(list((out / "Bearing9_1").glob("acc_*.csv"))) == 20
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["Bearing9_1", "record_summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "Bearing9_1", "manifest.json", "record_summary.json"]
+
+
 # --- bad records, bad samples and bad split fractions ---
 
 def _assert_one_line_failure(capsys, code, expected_code, out):
@@ -235,6 +306,76 @@ def test_split_fraction_out_of_range_exits_two(command, flag, value,
     assert err == f"InvalidConfig: {flag} {float(value)} outside [0, 0.5]\n"
 
 
+@pytest.mark.parametrize("command,source,options", [
+    ("fpt", "input", ["--channel", "bogus"]),
+    ("fpt", "input", ["--baseline", "2"]),
+    ("train", "dataset", ["--loss", "bogus"]),
+    ("train", "dataset", ["--epochs", "-1"]),
+    ("train", "dataset", ["--batch-size", "0"]),
+    ("featurize", "input", ["--window", "0"]),
+    ("featurize", "input", ["--level", "7"]),
+    ("featurize", "input", ["--level", "0"]),
+    ("featurize", "input", ["--fpt", "abc"])])
+def test_invalid_option_value_exits_two(command, source, options, record_dir,
+                                        dataset_path, tmp_path, capsys):
+    path = record_dir if source == "input" else dataset_path
+    out = tmp_path / "out"
+    code = run_cli(command, f"--{source}", str(path), "--outdir", str(out),
+                   *options)
+    err = _assert_one_line_failure(capsys, code, 2, out)
+    assert err.startswith("InvalidConfig:")
+
+
+def _config_file(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return ["train", "--config", str(path)]
+
+
+def _manifest(tmp_path, values):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(values))
+    return ["rerun", str(path)]
+
+
+@pytest.mark.parametrize("argv,values,message", [
+    (_config_file, {"epochs": "2"},
+     "config file: option 'epochs' must be a JSON int, not '2'"),
+    (_config_file, {"epochs": True},
+     "config file: option 'epochs' must be a JSON int, not True"),
+    (_config_file, {"lr": None},
+     "config file: option 'lr' must be a JSON float, not None"),
+    (_config_file, {"bogus": 1}, "config file: unknown option 'bogus'"),
+    (_config_file, [1], "config file: config must be a JSON object"),
+    (_manifest, {"command": "bogus", "config": {}},
+     "manifest: unknown command 'bogus'"),
+    (_manifest, {"config": {}}, "manifest: unknown command None"),
+    (_manifest, {"command": "eval", "config": {"dataset": 3}},
+     "manifest: option 'dataset' must be a JSON str, not 3"),
+    (_manifest, {"command": "fpt", "config": {"denoise": 1}},
+     "manifest: option 'denoise' must be a JSON bool, not 1"),
+    (_manifest, {"command": "eval", "config": None},
+     "manifest: config must be a JSON object"),
+    (_manifest, ["eval"], "manifest: not a JSON object")])
+def test_config_file_and_manifest_values_are_checked(argv, values, message,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(*argv(tmp_path, values), "--outdir", str(out))
+    assert code == 3
+    assert capsys.readouterr().err == f"DataError: {message}\n"
+    assert not out.exists()
+
+
+def test_checked_config_fills_defaults_and_accepts_json_types():
+    cfg = cli._checked_config("train", {"lr": 1, "epochs": 2, "dataset": None},
+                              "test")
+    assert cfg == {**cli._checked_config("train", {}, "test"),
+                   "lr": 1, "epochs": 2}
+    cfg = cli._checked_config("featurize", {"baseline": None, "denoise": False},
+                              "test")
+    assert cfg["baseline"] is None and cfg["denoise"] is False
+
+
 def test_split_holds_out_every_round_inverse_fraction_th_sample():
     samples = list(range(13))
     assert cli._split_dataset(samples, 0.0, 0) == (samples, [])
@@ -266,23 +407,17 @@ def test_exit_code_numeric_error(dataset_path, tmp_path):
 
 
 def test_unknown_flag_exits_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bearingrul.cli", "synth", "--bogus", "1"],
-        capture_output=True, text=True)
+    proc = run_module("synth", "--bogus", "1")
     assert proc.returncode == 2
 
 
 def test_help_lists_headline_defaults():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bearingrul.cli", "featurize", "--help"],
-        capture_output=True, text=True)
+    proc = run_module("featurize", "--help")
     assert proc.returncode == 0
     assert "default 10" in proc.stdout     # window
     assert "default 5" in proc.stdout      # stride
     assert "default 3" in proc.stdout      # level
-    proc = subprocess.run(
-        [sys.executable, "-m", "bearingrul.cli", "train", "--help"],
-        capture_output=True, text=True)
+    proc = run_module("train", "--help")
     assert "default 0.0001" in proc.stdout  # learning rate
     assert "default 16" in proc.stdout      # batch size
     assert "default 100" in proc.stdout     # epochs
@@ -290,8 +425,6 @@ def test_help_lists_headline_defaults():
 
 
 def test_version_flag():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bearingrul.cli", "--version"],
-        capture_output=True, text=True)
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()

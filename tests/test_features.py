@@ -152,10 +152,11 @@ def test_detect_fpt_record_either_channel():
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
     record = ft.BearingRecord(horizontal=hor, vertical=ver, sample_rate_hz=1.0)
     cfg = ft.FptConfig(baseline_count=12, channel_policy="either")
-    fpt = ft.detect_fpt_record(record, cfg)
+    fpt, channel = ft.detect_fpt_record(record, cfg)
     assert fpt is not None and 28 <= fpt <= 33
+    assert channel == "vertical"
     hcfg = ft.FptConfig(baseline_count=12, channel_policy="horizontal")
-    assert ft.detect_fpt_record(record, hcfg) is None
+    assert ft.detect_fpt_record(record, hcfg) == (None, "horizontal")
 
 
 # --- labeling ---
