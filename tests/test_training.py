@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ def test_train_seeded_runs_identical():
     assert [e.train_loss for e in h1] == [e.train_loss for e in h2]
     for name in p1.tensors:
         assert np.array_equal(p1[name].data, p2[name].data)
+
+
+# sha256 of every trained parameter's <f8 bytes in sorted-name order, recorded
+# before parameters moved into one flat vector; any change to init draws, the
+# forward/backward numerics or the Adam update order moves it
+GOLDEN_SEEDED_DESK_RUN = \
+    "c60b6c77ab4fb4ef894045ed9b7f46fa9fe6e481e8ac688211e540296e2e4f82"
+
+
+def test_train_seeded_run_matches_golden_hash():
+    tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=5)
+    params, _ = tr.train(tiny_dataset(8), md.desk_config(), tcfg, tr.LossConfig())
+    digest = hashlib.sha256()
+    for name in sorted(params.tensors):
+        digest.update(params[name].data.astype("<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_SEEDED_DESK_RUN
 
 
 def test_train_loss_decreases():
