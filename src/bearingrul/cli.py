@@ -56,15 +56,18 @@ def _csv(rows, header) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg, out: Path):
+    name = cfg["bearing_id"]
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise InvalidConfig(f"--bearing-id {name!r} must be a plain folder name")
     scfg = dataio.SyntheticConfig(
         n_snapshots=cfg["snapshots"], samples_per_snapshot=cfg["samples"],
         healthy_kurtosis_level=cfg["kurtosis"], fault_onset_index=cfg["onset"],
         fault_growth_rate=cfg["growth"], noise_std=cfg["noise_std"],
         seed=cfg["seed"], impulses_per_snapshot=cfg["impulses"],
         tone_level=cfg["tone_level"], tone_freq_low=cfg["tone_low"],
-        tone_freq_high=cfg["tone_high"], bearing_id=cfg["bearing_id"])
+        tone_freq_high=cfg["tone_high"], bearing_id=name)
     record = dataio.gen_synthetic(scfg)
-    dataio.save_record_csvdir(record, out / cfg["bearing_id"])
+    dataio.save_record_csvdir(record, out / name)
     _write_json(out / "record_summary.json", _record_summary(record))
     return []
 
@@ -101,10 +104,7 @@ def cmd_fpt(cfg, out: Path):
                               channel_policy=cfg["channel"])
     fpt, channel = features.detect_fpt_record(record, fcfg)
     series = features.kurtosis_series(record, channel)
-    baseline = fcfg.resolve_baseline(series.size)
-    mu = float(series[:baseline].mean())
-    sigma = float(series[:baseline].std(ddof=1))
-    lo, hi = mu - cfg["sigma"] * sigma, mu + cfg["sigma"] * sigma
+    baseline, mu, sigma, lo, hi = features.healthy_band(series, fcfg)
     _write_text(out / "kurtosis.csv",
                 _csv(enumerate(series.tolist()), ("snapshot", "kurtosis")))
     _write_json(out / "fpt.json", {

@@ -15,11 +15,13 @@ Checkpoint (.ckpt):
     bytes 0..3    magic b"BRCK"
     u32           version (currently 1)
     u64           header length in bytes
-    header        JSON: model config, init seed, ordered parameter manifest
-                  (name + shape per entry)
-    blobs         f64 arrays, concatenated in manifest order
+    header        JSON: model config, init seed, parameter manifest
+                  (name + shape per entry, in model.param_layout order)
+    blob          f64[P]: ModelParams.flat, the P parameters in manifest order
 
-Both round-trip bit-exactly.
+A checkpoint loads only if its header parses, its config is valid, its
+manifest equals that config's layout and the blob holds exactly P values;
+anything else is a CorruptContainer. Both containers round-trip bit-exactly.
 """
 
 import json
@@ -40,8 +42,8 @@ from .errors import (
     VersionMismatch,
 )
 from .features import IMAGE_SIDE, BearingRecord, LabeledSample, WpdImage
-from .model import ModelConfig, ModelParams
-from .autodiff import Tensor
+from .model import (ModelConfig, ModelParams, expected_param_count, param_layout,
+                    validate_params)
 
 DATASET_MAGIC = b"WPDS"
 DATASET_VERSION = 1
@@ -320,18 +322,22 @@ def load_dataset(path):
 # Checkpoint container
 # ---------------------------------------------------------------------------
 
+def _manifest(cfg: ModelConfig) -> list:
+    """The header's parameter manifest: name and shape in flat order."""
+    return [{"name": name, "shape": list(shape)}
+            for name, shape in param_layout(cfg)]
+
+
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path):
     path = Path(path)
-    names = sorted(params.tensors)
-    manifest = [{"name": n, "shape": list(params.tensors[n].shape)} for n in names]
+    validate_params(params, cfg)
     header = json.dumps({"config": cfg.to_dict(), "init_seed": params.init_seed,
-                         "manifest": manifest}, sort_keys=True).encode("utf-8")
+                         "manifest": _manifest(cfg)}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                              len(header)))
         fh.write(header)
-        for n in names:
-            fh.write(params.tensors[n].data.astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
     return path
 
 
@@ -350,19 +356,20 @@ def load_checkpoint(path):
             f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
     if len(blob) < head + hlen:
         raise CorruptContainer(f"{path}: truncated header")
-    header = json.loads(blob[head:head + hlen].decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["config"])
-    tensors = {}
-    off = head + hlen
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        if off + nbytes > len(blob):
-            raise CorruptContainer(f"{path}: truncated at {entry['name']}")
-        data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)),
-                             offset=off).reshape(shape)
-        tensors[entry["name"]] = Tensor(data.copy(), requires_grad=True)
-        off += nbytes
-    if off != len(blob):
-        raise CorruptContainer(f"{path}: {len(blob) - off} trailing bytes")
-    return ModelParams(tensors=tensors, init_seed=header["init_seed"]), cfg
+    try:
+        header = json.loads(blob[head:head + hlen].decode("utf-8"))
+        cfg = ModelConfig.from_dict(header["config"])
+        layout_matches = header["manifest"] == _manifest(cfg)
+        init_seed = header["init_seed"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptContainer(
+            f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+    if not layout_matches:
+        raise CorruptContainer(
+            f"{path}: parameter manifest does not match the config's layout")
+    count = expected_param_count(cfg)
+    if len(blob) != head + hlen + 8 * count:
+        raise CorruptContainer(f"{path}: {len(blob) - head - hlen} data bytes, "
+                               f"expected {8 * count} for {count} parameters")
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=head + hlen)
+    return ModelParams(cfg, flat.astype(np.float64), init_seed), cfg

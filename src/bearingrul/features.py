@@ -127,6 +127,8 @@ class FptConfig:
             raise InvalidConfig("baseline_count must be >= 4")
         if self.consecutive_required < 1:
             raise InvalidConfig("consecutive_required must be >= 1")
+        if not 0 < self.sigma_multiplier < np.inf:
+            raise InvalidConfig("sigma_multiplier must be finite and > 0")
         if self.channel_policy not in CHANNELS + ("either",):
             raise InvalidConfig(f"unknown channel_policy {self.channel_policy!r}")
 
@@ -136,26 +138,34 @@ class FptConfig:
         return min(40, max(4, n // 5))
 
 
-def detect_fpt(k, cfg: FptConfig = None):
-    """First index whose run of `consecutive_required` values leaves the band.
+def healthy_band(k: np.ndarray, cfg: FptConfig):
+    """(baseline, mu, sigma, lo, hi): the control band of kurtosis series k.
 
-    The band is mu +/- sigma_multiplier * sigma over the first
-    baseline_count entries (sample std, ddof=1). Returns the first index of
-    the exceedance run, or None when no qualifying run exists.
+    mu and sigma (sample std, ddof=1) are taken over the first baseline
+    entries, and the band is mu -/+ sigma_multiplier * sigma.
     """
-    if cfg is None:
-        cfg = FptConfig()
-    k = np.asarray(k, dtype=np.float64)
     baseline = cfg.resolve_baseline(k.size)
     if baseline < 4:
         raise BaselineTooShort(f"baseline_count {baseline} < 4")
     if k.size <= baseline:
         raise BaselineTooShort(
             f"series length {k.size} must exceed baseline {baseline}")
-    mu = k[:baseline].mean()
-    sigma = k[:baseline].std(ddof=1)
-    lo = mu - cfg.sigma_multiplier * sigma
-    hi = mu + cfg.sigma_multiplier * sigma
+    mu = float(k[:baseline].mean())
+    sigma = float(k[:baseline].std(ddof=1))
+    return (baseline, mu, sigma, mu - cfg.sigma_multiplier * sigma,
+            mu + cfg.sigma_multiplier * sigma)
+
+
+def detect_fpt(k, cfg: FptConfig = None):
+    """First index whose run of `consecutive_required` values leaves the band.
+
+    The band is healthy_band's. Returns the first index of the exceedance
+    run, or None when no qualifying run exists.
+    """
+    if cfg is None:
+        cfg = FptConfig()
+    k = np.asarray(k, dtype=np.float64)
+    baseline, _, _, lo, hi = healthy_band(k, cfg)
     outside = (k < lo) | (k > hi)
     run = cfg.consecutive_required
     for i in range(baseline, k.size - run + 1):

@@ -45,6 +45,10 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.depths) != 4 or len(self.heads) != 4:
             raise ConfigMismatch("depths and heads must each have 4 entries")
+        sizes = (self.embed_dim_base, self.window_size, self.conv_channels,
+                 self.input_side, *self.depths, *self.heads)
+        if not all(isinstance(n, int) for n in sizes):
+            raise ConfigMismatch("widths, sides, depths and heads must be integers")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigMismatch("dropout_p must be in [0, 1)")
         if self.input_side % 2 or (self.input_side // 2) % 8:
@@ -114,16 +118,31 @@ def config_from_preset(name: str) -> ModelConfig:
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ModelParams:
-    tensors: dict
-    init_seed: int = 0
+    """Every learnable tensor as a named view into one float64 vector.
+
+    `flat` holds the parameters in param_layout order and params[name] is a
+    trainable Tensor over its slice, so in-place writes to either side are
+    seen by both. Rebinding a tensor's .data detaches it from `flat`;
+    validate_params rejects that.
+    """
+
+    def __init__(self, cfg: ModelConfig, flat: np.ndarray, init_seed: int = 0):
+        self.flat = flat
+        self.init_seed = init_seed
+        self.tensors = {}
+        start = 0
+        for name, shape in param_layout(cfg):
+            stop = start + int(np.prod(shape))
+            self.tensors[name] = Tensor(flat[start:stop].reshape(shape),
+                                        requires_grad=True)
+            start = stop
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.flat.size
 
     def zero_grad(self):
         for t in self.tensors.values():
@@ -171,6 +190,16 @@ def expected_shapes(cfg: ModelConfig) -> dict:
     return shapes
 
 
+@lru_cache(maxsize=8)
+def param_layout(cfg: ModelConfig) -> tuple:
+    """(name, shape) per learnable tensor in the order of ModelParams.flat.
+
+    Sorted by name: the order of the checkpoint manifest.
+    """
+    shapes = expected_shapes(cfg)
+    return tuple((name, shapes[name]) for name in sorted(shapes))
+
+
 def expected_param_count(cfg: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in expected_shapes(cfg).values())
 
@@ -199,14 +228,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     desk-scale step counts.
     """
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in expected_shapes(cfg).items():
-        if name.endswith("norm.g") or name.endswith(".g"):
-            data = np.ones(shape)
-        elif name.endswith(".b"):
-            data = np.zeros(shape)
-        elif name == "head.out.w":
-            data = np.zeros(shape)
+    params = ModelParams(cfg, np.zeros(expected_param_count(cfg)), init_seed=seed)
+    for name, shape in expected_shapes(cfg).items():  # the order of the draws
+        if name.endswith(".g"):
+            data = 1.0
+        elif name.endswith(".b") or name == "head.out.w":
+            continue  # flat starts at zero
         elif name.startswith(("stem.", "head.")):
             fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
             data = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
@@ -214,16 +241,14 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
             data = rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape)
         else:
             data = _trunc_normal(rng, shape)
-        tensors[name] = Tensor(data, requires_grad=True)
-    params = ModelParams(tensors=tensors, init_seed=seed)
-    count = params.param_count()
-    if count != expected_param_count(cfg):
-        raise ConfigMismatch("parameter census does not match config")
-    logger.info("initialized %s preset: %d parameters", cfg.preset, count)
+        params[name].data[...] = data
+    logger.info("initialized %s preset: %d parameters", cfg.preset,
+                params.param_count())
     return params
 
 
 def validate_params(params: ModelParams, cfg: ModelConfig):
+    """Names and shapes must match the config, and every tensor view flat."""
     expected = expected_shapes(cfg)
     actual = {k: v.shape for k, v in params.tensors.items()}
     if actual != expected:
@@ -232,6 +257,11 @@ def validate_params(params: ModelParams, cfg: ModelConfig):
         raise ConfigMismatch(
             f"params do not match config (missing={sorted(missing)[:3]}, "
             f"extra={sorted(extra)[:3]})")
+    for name, tensor in params.tensors.items():
+        if tensor.data.base is not params.flat:
+            raise ConfigMismatch(
+                f"{name} no longer views the flat parameter vector; "
+                f"write parameters in place (.data[...] = ...)")
 
 
 # ---------------------------------------------------------------------------

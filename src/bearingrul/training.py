@@ -13,15 +13,15 @@ positive for any nonzero error; when comparing models on this metric the
 convention reported alongside (sum or mean) must match.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .errors import (DivergedLoss, EmptyBatch, EmptyDataset, InvalidConfig,
-                     ShapeMismatch)
+from .errors import (ConfigMismatch, DivergedLoss, EmptyBatch, EmptyDataset,
+                     InvalidConfig, ShapeMismatch)
 
 HINGE_RATE = 5.0    # divisor of late (positive) errors in the score
 EARLY_RATE = 15.0   # divisor of early (negative) errors in the score
@@ -114,35 +114,44 @@ def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tens
 # Optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
+    """Moment vectors aligned with the parameter vector, the step count, and
+    two scratch vectors that each update reuses instead of allocating."""
+
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self.scratch = np.empty((2, size))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
+def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState,
               cfg: TrainConfig) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update of `flat`, in place.
+
+    m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
+    flat -= lr (m / c1) / (sqrt(v / c2) + eps) with c_i = 1 - b_i^t,
+    each product and quotient rounded in that order.
+    """
+    if grad.shape != flat.shape:
+        raise ShapeMismatch(f"grad {grad.shape} vs params {flat.shape}")
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for name, tensor in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != tensor.data.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {tensor.data.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-        v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name], state.v[name] = m, v
-        tensor.data -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    m, v, (tmp, step) = state.m, state.v, state.scratch
+    np.multiply(grad, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v *= b2
+    v += tmp
+    np.divide(m, 1.0 - b1 ** state.t, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, 1.0 - b2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps
+    step /= tmp
+    flat -= step
     return state
 
 
@@ -182,7 +191,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=train_cfg.seed, spawn_key=(1,)))
-    state = AdamState()
+    state = AdamState(params.flat.size)
     history = []
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -200,8 +209,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
             params.zero_grad()
             ad.backward(loss)
-            grads = {k: t.grad for k, t in params.tensors.items()}
-            adam_step(params.tensors, grads, state, train_cfg)
+            adam_step(params.flat, _flat_grad(params), state, train_cfg)
             loss_sum += value * idx.size
             n_seen += idx.size
             step += 1
@@ -212,6 +220,14 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             stats.val_mae = mae(PredictionBatch(val_preds, val_targets))
         history.append(stats)
     return params, history
+
+
+def _flat_grad(params: model_mod.ModelParams) -> np.ndarray:
+    """Leaf gradients concatenated in the order of params.flat."""
+    for name, tensor in params.tensors.items():
+        if tensor.grad is None:
+            raise ConfigMismatch(f"{name} received no gradient")
+    return np.concatenate([t.grad for t in params.tensors.values()], axis=None)
 
 
 # ---------------------------------------------------------------------------

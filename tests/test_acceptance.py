@@ -211,8 +211,8 @@ def test_criterion_6_gradcheck_everything():
         cfg = md.desk_config()
         params = md.init_params(cfg, seed=1)
         jitter = np.random.default_rng(99)
-        for tensor in params.tensors.values():
-            tensor.data += jitter.uniform(-0.05, 0.05, size=tensor.data.shape)
+        for name, shape in md.expected_shapes(cfg).items():
+            params[name].data += jitter.uniform(-0.05, 0.05, size=shape)
         hor = rng.random((2, 1, 32, 32))
         ver = rng.random((2, 1, 32, 32))
         labels = rng.random(2)

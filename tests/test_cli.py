@@ -315,7 +315,10 @@ def test_split_fraction_out_of_range_exits_two(command, flag, value,
     ("featurize", "input", ["--window", "0"]),
     ("featurize", "input", ["--level", "7"]),
     ("featurize", "input", ["--level", "0"]),
-    ("featurize", "input", ["--fpt", "abc"])])
+    ("featurize", "input", ["--fpt", "abc"]),
+    ("fpt", "input", ["--sigma", "-1"]),
+    ("fpt", "input", ["--sigma", "0"]),
+    ("fpt", "input", ["--sigma", "nan"])])
 def test_invalid_option_value_exits_two(command, source, options, record_dir,
                                         dataset_path, tmp_path, capsys):
     path = record_dir if source == "input" else dataset_path
@@ -324,6 +327,70 @@ def test_invalid_option_value_exits_two(command, source, options, record_dir,
                    *options)
     err = _assert_one_line_failure(capsys, code, 2, out)
     assert err.startswith("InvalidConfig:")
+
+
+@pytest.mark.parametrize("bearing_id", ["../escaped", "a/b", "", ".", "..",
+                                        "ABSOLUTE"])
+def test_synth_bearing_id_must_be_a_plain_name(bearing_id, tmp_path, capsys):
+    if bearing_id == "ABSOLUTE":
+        bearing_id = str(tmp_path / "absolute")
+    out = tmp_path / "out"
+    code = run_cli("synth", "--outdir", str(out), "--snapshots", "20",
+                   "--samples", "64", "--onset", "10", "--bearing-id", bearing_id)
+    err = _assert_one_line_failure(capsys, code, 2, out)
+    assert err.startswith("InvalidConfig:")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def _rewrite_header(checkpoint, edit):
+    """The checkpoint's bytes with its JSON header replaced by edit(header)."""
+    blob = checkpoint.read_bytes()
+    magic, version, hlen = struct.unpack_from("<4sIQ", blob)
+    header = edit(json.loads(blob[16:16 + hlen]))
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return struct.pack("<4sIQ", magic, version, len(raw)) + raw + blob[16 + hlen:]
+
+
+def _drop_manifest(header):
+    del header["manifest"]
+    return header
+
+
+def _unknown_config_key(header):
+    header["config"]["bogus"] = 1
+    return header
+
+
+def _three_depths(header):
+    header["config"]["depths"] = [1, 1, 1]
+    return header
+
+
+def _wider_config(header):
+    header["config"]["embed_dim_base"] = 32
+    return header
+
+
+def _float_width(header):
+    header["config"]["embed_dim_base"] = 16.0
+    return header
+
+
+def _not_utf8(header):
+    return b"\xff\xfe" + json.dumps(header).encode()
+
+
+@pytest.mark.parametrize("edit", [_drop_manifest, _unknown_config_key, _not_utf8,
+                                  _three_depths, _wider_config, _float_width])
+def test_malformed_checkpoint_header_exits_three(edit, dataset_path,
+                                                 checkpoint_path, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_rewrite_header(checkpoint_path, edit))
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(dataset_path), "--checkpoint",
+                   str(bad), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("CorruptContainer:")
 
 
 def _config_file(tmp_path, values):

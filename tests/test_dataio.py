@@ -5,6 +5,7 @@ import pytest
 
 from bearingrul import dataio, features as ft, model as md, wavelets as wv
 from bearingrul.errors import (
+    ConfigMismatch,
     CorruptContainer,
     InconsistentSnapshotLength,
     InvalidConfig,
@@ -257,16 +258,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded, loaded_cfg = dataio.load_checkpoint(path)
     assert loaded_cfg == cfg
     assert loaded.init_seed == 11
-    assert set(loaded.tensors) == set(params.tensors)
+    assert list(loaded.tensors) == list(params.tensors)  # one order for both
     for name in params.tensors:
         assert np.array_equal(loaded[name].data, params[name].data)
+    assert np.array_equal(loaded.flat, params.flat)
+    md.validate_params(loaded, cfg)
 
 
 def test_checkpoint_preserves_forward_outputs(tmp_path):
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=12)
     rng = np.random.default_rng(13)
-    params["head.out.w"].data = rng.normal(size=params["head.out.w"].shape)
+    params["head.out.w"].data[...] = rng.normal(size=params["head.out.w"].shape)
     hor, ver = rng.random((2, 1, 32, 32)), rng.random((2, 1, 32, 32))
     before = md.forward_batch(params, cfg, hor, ver).data
     path = tmp_path / "model.ckpt"
@@ -274,6 +277,16 @@ def test_checkpoint_preserves_forward_outputs(tmp_path):
     loaded, loaded_cfg = dataio.load_checkpoint(path)
     after = md.forward_batch(loaded, loaded_cfg, hor, ver).data
     assert np.array_equal(before, after)
+
+
+def test_save_checkpoint_rejects_a_rebound_tensor(tmp_path):
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=0)
+    params["head.out.w"].data = params["head.out.w"].data + 1.0
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ConfigMismatch):
+        dataio.save_checkpoint(params, cfg, path)
+    assert not path.exists()
 
 
 def test_checkpoint_truncated(tmp_path):

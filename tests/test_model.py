@@ -99,6 +99,27 @@ def test_validate_params_catches_mismatch(desk):
         md.validate_params(params, md.paper_config())
 
 
+def test_params_view_one_flat_vector_in_sorted_name_order(desk):
+    cfg, params = desk
+    names = sorted(md.expected_shapes(cfg))
+    assert list(params.tensors) == names
+    assert md.param_layout(cfg) == tuple(
+        (n, md.expected_shapes(cfg)[n]) for n in names)
+    assert np.array_equal(
+        np.concatenate([params[n].data for n in names], axis=None), params.flat)
+    fresh = md.init_params(cfg, seed=1)
+    fresh.flat[-1] = 7.0
+    assert fresh[names[-1]].data.flat[-1] == 7.0
+
+
+def test_validate_params_rejects_a_rebound_tensor():
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=0)
+    params["head.out.w"].data = np.ones(params["head.out.w"].shape)
+    with pytest.raises(ConfigMismatch, match="head.out.w"):
+        md.validate_params(params, cfg)
+
+
 # --- stems and fusion ---
 
 def test_conv_stem_shape(desk):
@@ -309,7 +330,7 @@ def test_dropout_seed_changes_training_output():
     params = md.init_params(cfg, seed=1)
     rng = np.random.default_rng(14)
     # the final layer starts at zero, which would hide mask differences
-    params["head.out.w"].data = rng.normal(size=params["head.out.w"].shape)
+    params["head.out.w"].data[...] = rng.normal(size=params["head.out.w"].shape)
     hor, ver = rng.random((2, 1, 32, 32)), rng.random((2, 1, 32, 32))
     a = md.forward_batch(params, cfg, hor, ver, training=True,
                          rng=np.random.default_rng(0)).data

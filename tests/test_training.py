@@ -6,7 +6,8 @@ import pytest
 import bearingrul.autodiff as ad
 from bearingrul import features as ft, model as md, training as tr
 from bearingrul.autodiff import Tensor
-from bearingrul.errors import DivergedLoss, EmptyBatch, EmptyDataset, ShapeMismatch
+from bearingrul.errors import (ConfigMismatch, DivergedLoss, EmptyBatch,
+                               EmptyDataset, ShapeMismatch)
 
 
 def batch(preds, targets):
@@ -182,35 +183,44 @@ def test_metrics_report_keys():
 
 def test_adam_single_step_hand_value():
     cfg = tr.TrainConfig(learning_rate=1e-4, batch_size=1, epochs=1)
-    theta = Tensor(np.array([1.0]), requires_grad=True)
-    state = tr.AdamState()
-    tr.adam_step({"w": theta}, {"w": np.array([1.0])}, state, cfg)
+    theta = np.array([1.0])
+    state = tr.AdamState(theta.size)
+    tr.adam_step(theta, np.array([1.0]), state, cfg)
     expected = 1.0 - 1e-4 / (1.0 + 1e-8)
-    assert theta.data[0] == pytest.approx(expected, abs=1e-18)
+    assert theta[0] == pytest.approx(expected, abs=1e-18)
     assert state.t == 1
 
 
 def test_adam_zero_gradient_no_move():
     cfg = tr.TrainConfig(learning_rate=1e-2, batch_size=1, epochs=1)
-    theta = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-    tr.adam_step({"w": theta}, {"w": np.zeros(2)}, tr.AdamState(), cfg)
-    np.testing.assert_allclose(theta.data, [2.0, -1.0], atol=0)
+    theta = np.array([2.0, -1.0])
+    tr.adam_step(theta, np.zeros(2), tr.AdamState(theta.size), cfg)
+    np.testing.assert_allclose(theta, [2.0, -1.0], atol=0)
 
 
 def test_adam_shape_mismatch():
     cfg = tr.TrainConfig(learning_rate=1e-2, batch_size=1, epochs=1)
-    theta = Tensor(np.zeros(3), requires_grad=True)
+    theta = np.zeros(3)
     with pytest.raises(ShapeMismatch):
-        tr.adam_step({"w": theta}, {"w": np.zeros(4)}, tr.AdamState(), cfg)
+        tr.adam_step(theta, np.zeros(4), tr.AdamState(theta.size), cfg)
 
 
 def test_adam_descends_quadratic():
     cfg = tr.TrainConfig(learning_rate=0.05, batch_size=1, epochs=1)
-    theta = Tensor(np.array([3.0]), requires_grad=True)
-    state = tr.AdamState()
+    theta = np.array([3.0])
+    state = tr.AdamState(theta.size)
     for _ in range(200):
-        tr.adam_step({"w": theta}, {"w": 2.0 * theta.data}, state, cfg)
-    assert abs(theta.data[0]) < 0.5
+        tr.adam_step(theta, 2.0 * theta, state, cfg)
+    assert abs(theta[0]) < 0.5
+
+
+def test_missing_gradient_raises():
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=0)
+    for name, tensor in params.tensors.items():
+        tensor.grad = None if name == "embed.b" else np.zeros(tensor.shape)
+    with pytest.raises(ConfigMismatch, match="embed.b"):
+        tr._flat_grad(params)
 
 
 # --- training loop ---
