@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from bearingrul import features as ft, wavelets as wv
+from bearingrul import dataio, features as ft, wavelets as wv
 from bearingrul.errors import (
     BaselineTooShort,
     FptOutOfRange,
@@ -304,3 +306,30 @@ def test_labeled_sample_label_validation():
     img = ft.wpd_image(np.random.default_rng(21).normal(size=4096))
     with pytest.raises(ValueError):
         ft.LabeledSample(hor=img, ver=img, label=1.5)
+
+
+# --- golden featurization ---
+
+# (snapshots, samples, onset, seed, fpt, window, stride, denoise) -> sha256 of
+# dataset.bin. The cases cover a denoised PRONOSTIA-sized record, odd-length
+# snapshots (wrap-padded at every transform level), and 16x256 windows whose
+# level-3 subbands are exactly one 8-row image block long.
+GOLDEN_FEATURIZE = {
+    "denoised-60x2560": ((60, 2560, 30, 11, 28, 10, 5, True),
+        "6ff02e4d7da7b06a934ed55e4e0587387c3116cb906ea56366b099871ae5cd82"),
+    "odd-65-samples": ((30, 65, 15, 12, 14, 10, 5, True),
+        "10875eac16e227c4a54194c56c88956c93c3e0cfa799a95e77262a08c539dc25"),
+    "windows-16x256": ((40, 256, 20, 13, 18, 16, 8, False),
+        "0ecc331693f1cbd2c08580f0ac7df5066d015f5916855c764fa3bfbc884ba085"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FEATURIZE))
+def test_featurized_dataset_matches_golden_hash(case, tmp_path):
+    (n, m, onset, seed, fpt, size, stride, denoise), want = GOLDEN_FEATURIZE[case]
+    record = dataio.gen_synthetic(dataio.SyntheticConfig(
+        n_snapshots=n, samples_per_snapshot=m, fault_onset_index=onset, seed=seed))
+    samples = ft.build_dataset(record, fpt, size=size, stride=stride,
+                               denoise=denoise)
+    path = dataio.save_dataset(samples, tmp_path / "dataset.bin")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
