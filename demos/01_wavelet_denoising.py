@@ -19,20 +19,20 @@ t = np.arange(n)
 clean = np.sin(2 * np.pi * t / 64.0) + 0.4 * np.sin(2 * np.pi * t / 9.0)
 noisy = clean + 0.5 * rng.standard_normal(n)
 
-fb = wv.db5_filters()
-print("db5 lowpass sums to sqrt(2):", fb.lowpass.sum())
+print("db5 lowpass sums to sqrt(2):", wv.DB5.lowpass.sum())
 
 # the transform itself is lossless
-coeffs = wv.dwt(noisy, levels=2, fb=fb)
+coeffs = wv.dwt(noisy, levels=wv.DENOISE_LEVELS)
 print("perfect reconstruction error:",
-      np.abs(wv.idwt(coeffs, fb) - noisy).max())
+      np.abs(wv.idwt(coeffs) - noisy).max())
 
 # noise scale is estimated from the finest detail band
 threshold = wv.universal_threshold(coeffs.details[0], n)
 print("universal threshold:", round(threshold, 4))
 
-denoised = wv.wavelet_denoise(noisy, levels=2, fb=fb)
-smoothed = wv.savgol_filter(denoised, wv.savgol_kernel(5, 2))
+# the pipeline's fixed settings: db5, two detail levels, a (5, 2) kernel
+denoised = wv.wavelet_denoise(noisy)
+smoothed = wv.savgol_filter(denoised)
 
 for name, sig in (("noisy", noisy), ("denoised", denoised),
                   ("denoised+savgol", smoothed)):

@@ -19,6 +19,8 @@ from .errors import (
     ShapeMismatch,
 )
 
+LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -243,12 +245,12 @@ def softmax(a, axis: int = -1):
                    lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5):
+def layer_norm(a, gamma, beta):
     """Normalize over the last axis, then scale and shift."""
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mu) * inv
     sum_axes = tuple(range(a.data.ndim - 1))
 
@@ -278,10 +280,10 @@ def dropout(a, p: float, training: bool, rng=None):
     return _result(a.data * keep, (a,), lambda g: (g * keep,))
 
 
-def conv2d(x, w, b, pad: int = 1):
+def conv2d(x, w, b):
     """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters plus bias.
 
-    Stride is fixed at 1; with kh = kw = 3 and pad = 1 the spatial
+    Stride and zero padding are fixed at 1; with kh = kw = 3 the spatial
     dimensions are preserved.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
@@ -293,8 +295,8 @@ def conv2d(x, w, b, pad: int = 1):
         raise ShapeMismatch(f"input has {c} channels, weights expect {cw}")
     if b.data.shape != (f,):
         raise ShapeMismatch(f"bias must have shape ({f},)")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ho, wo = h + 3 - kh, wd + 3 - kw
     view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
         n, ho * wo, c * kh * kw)
@@ -313,17 +315,15 @@ def conv2d(x, w, b, pad: int = 1):
                 for v in range(kw):
                     dxp[:, :, u:u + ho, v:v + wo] += dcols[:, :, :, :, u, v].transpose(
                         0, 3, 1, 2)
-            dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+            dx = dxp[:, :, 1:1 + h, 1:1 + wd]
         return (dx, dw, db)
 
     return _result(out, (x, w, b), vjp)
 
 
-def maxpool2d(x, k: int = 2, stride: int = 2):
-    """2x2 max pooling; gradient goes to the first maximum in row-major scan."""
+def maxpool2d(x):
+    """2x2 max pooling, stride 2; gradient to the first maximum in row-major scan."""
     x = _wrap(x)
-    if k != 2 or stride != 2:
-        raise ValueError("only 2x2 pooling with stride 2 is supported")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise IndivisibleShape(f"H and W must be even, got {h}x{w}")

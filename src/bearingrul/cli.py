@@ -57,8 +57,10 @@ def _csv(rows, header) -> str:
 
 def cmd_synth(cfg, out: Path):
     name = cfg["bearing_id"]
-    if name in ("", ".", "..") or Path(name).name != name:
-        raise InvalidConfig(f"--bearing-id {name!r} must be a plain folder name")
+    if (name in ("", ".", "..", "manifest.json", "record_summary.json")
+            or Path(name).name != name):
+        raise InvalidConfig(f"--bearing-id {name!r} must be a plain folder name "
+                            "other than the files synth writes")
     scfg = dataio.SyntheticConfig(
         n_snapshots=cfg["snapshots"], samples_per_snapshot=cfg["samples"],
         healthy_kurtosis_level=cfg["kurtosis"], fault_onset_index=cfg["onset"],

@@ -20,8 +20,9 @@ Checkpoint (.ckpt):
     blob          f64[P]: ModelParams.flat, the P parameters in manifest order
 
 A checkpoint loads only if its header parses, its config is valid, its
-manifest equals that config's layout and the blob holds exactly P values;
-anything else is a CorruptContainer. Both containers round-trip bit-exactly.
+init seed is an integer, its manifest equals that config's layout and the
+blob holds exactly P finite values; anything else is a CorruptContainer.
+Both containers round-trip bit-exactly.
 """
 
 import json
@@ -63,9 +64,8 @@ def _numeric_suffix(path: Path) -> int:
     return int(m.group(1)) if m else -1
 
 
-def load_pronostia_bearing(directory, hor_col: int = 4, ver_col: int = 5,
-                           sample_rate_hz: float = PRONOSTIA_SAMPLE_RATE,
-                           snapshot_period_s: float = PRONOSTIA_PERIOD_S) -> BearingRecord:
+def load_pronostia_bearing(directory, hor_col: int = 4,
+                           ver_col: int = 5) -> BearingRecord:
     """Load one bearing folder of per-snapshot acceleration CSVs.
 
     Files are ordered by their numeric suffix regardless of on-disk order.
@@ -90,8 +90,8 @@ def load_pronostia_bearing(directory, hor_col: int = 4, ver_col: int = 5,
     m = re.match(r"Bearing(\d+)_(\d+)", root.name)
     return BearingRecord(horizontal=np.stack(hor_snaps),
                          vertical=np.stack(ver_snaps),
-                         sample_rate_hz=sample_rate_hz,
-                         snapshot_period_s=snapshot_period_s,
+                         sample_rate_hz=PRONOSTIA_SAMPLE_RATE,
+                         snapshot_period_s=PRONOSTIA_PERIOD_S,
                          bearing_id=root.name,
                          condition_id=int(m.group(1)) if m else 0)
 
@@ -160,7 +160,8 @@ class SyntheticConfig:
     time-frequency signature evolves through end of life instead of
     saturating. Both tones vanish at onset, leaving detection purely
     impulse-driven. Channels share the fault schedule but carry
-    independent noise.
+    independent noise. Records carry the PRONOSTIA sample rate and
+    snapshot period.
     """
 
     n_snapshots: int = 100
@@ -174,8 +175,6 @@ class SyntheticConfig:
     tone_level: float = 2.0
     tone_freq_low: float = 0.06    # fraction of the sample rate
     tone_freq_high: float = 0.17
-    sample_rate_hz: float = PRONOSTIA_SAMPLE_RATE
-    snapshot_period_s: float = PRONOSTIA_PERIOD_S
     bearing_id: str = "synthetic"
 
     def __post_init__(self):
@@ -245,8 +244,8 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
         hor[i] += tone
         ver[i] += tone
     return BearingRecord(horizontal=hor, vertical=ver,
-                         sample_rate_hz=cfg.sample_rate_hz,
-                         snapshot_period_s=cfg.snapshot_period_s,
+                         sample_rate_hz=PRONOSTIA_SAMPLE_RATE,
+                         snapshot_period_s=PRONOSTIA_PERIOD_S,
                          bearing_id=cfg.bearing_id)
 
 
@@ -361,6 +360,8 @@ def load_checkpoint(path):
         cfg = ModelConfig.from_dict(header["config"])
         layout_matches = header["manifest"] == _manifest(cfg)
         init_seed = header["init_seed"]
+        if type(init_seed) is not int:
+            raise TypeError(f"init_seed must be an integer, not {init_seed!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptContainer(
             f"{path}: bad header: {type(exc).__name__}: {exc}") from None
@@ -372,4 +373,7 @@ def load_checkpoint(path):
         raise CorruptContainer(f"{path}: {len(blob) - head - hlen} data bytes, "
                                f"expected {8 * count} for {count} parameters")
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=head + hlen)
+    bad = np.count_nonzero(~np.isfinite(flat))
+    if bad:
+        raise CorruptContainer(f"{path}: {bad} non-finite parameter values")
     return ModelParams(cfg, flat.astype(np.float64), init_seed), cfg

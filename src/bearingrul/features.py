@@ -8,7 +8,7 @@ decomposition. Degradation onset (FPT) comes from a kurtosis control chart;
 labels decay linearly from 1 at onset to 0 at failure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -230,16 +230,7 @@ def normalize_image(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def _resample_linear(band: np.ndarray, length: int) -> np.ndarray:
-    if band.size == length:
-        return band.astype(np.float64)
-    if band.size == 1:
-        return np.full(length, float(band[0]))
-    return np.interp(np.linspace(0.0, band.size - 1, length),
-                     np.arange(band.size), band)
-
-
-def wpd_image(window_signal, level: int = 3, fb=None, channel: str = "",
+def wpd_image(window_signal, level: int = 3, channel: str = "",
               source_window: Optional[Window] = None) -> WpdImage:
     """Level-`level` WPD laid out as row blocks of a 64x64 image.
 
@@ -247,19 +238,14 @@ def wpd_image(window_signal, level: int = 3, fb=None, channel: str = "",
     4096 / 2^level points and fills its own contiguous block of rows in
     row-major order; the assembled image is then min-max normalized.
     """
-    tree = wavelets.wpd(window_signal, level, fb)
-    n_bands = len(tree.subbands)
-    rows_per_band = IMAGE_SIDE // n_bands
-    if rows_per_band < 1:
+    bands = wavelets.wpd(window_signal, level)
+    n_bands, m = bands.shape
+    if n_bands > IMAGE_SIDE:
         raise InvalidConfig(f"level {level} yields more subbands than image rows")
-    per_band = rows_per_band * IMAGE_SIDE
-    raw = np.empty((IMAGE_SIDE, IMAGE_SIDE))
-    for b, band in enumerate(tree.subbands):
-        block = _resample_linear(band, per_band)
-        raw[b * rows_per_band:(b + 1) * rows_per_band, :] = block.reshape(
-            rows_per_band, IMAGE_SIDE)
-    return WpdImage(pixels=normalize_image(raw), channel=channel,
-                    source_window=source_window)
+    grid = np.linspace(0.0, m - 1, IMAGE_SIDE * IMAGE_SIDE // n_bands)
+    raw = np.stack([np.interp(grid, np.arange(m), band) for band in bands])
+    return WpdImage(pixels=normalize_image(raw.reshape(IMAGE_SIDE, IMAGE_SIDE)),
+                    channel=channel, source_window=source_window)
 
 
 @dataclass
@@ -281,36 +267,24 @@ class LabeledSample:
             raise InvalidSample(f"label {self.label} outside [0, 1]")
 
 
-def preprocess_record(record: BearingRecord, denoise_levels: int = 2,
-                      savgol_window: int = 5, savgol_order: int = 2,
-                      fb=None) -> BearingRecord:
+def preprocess_record(record: BearingRecord) -> BearingRecord:
     """Denoise every snapshot on both channels, identically.
 
     Wavelet soft-thresholding (universal rule) followed by Savitzky-Golay
     smoothing, per snapshot.
     """
-    if fb is None:
-        fb = wavelets.db5_filters()
-    kernel = wavelets.savgol_kernel(savgol_window, savgol_order)
     cleaned = {}
     for name in CHANNELS:
         data = record.channel(name)
         out = np.empty_like(data)
         for i in range(record.n_snapshots):
-            denoised = wavelets.wavelet_denoise(data[i], denoise_levels, fb)
-            out[i] = wavelets.savgol_filter(denoised, kernel)
+            out[i] = wavelets.savgol_filter(wavelets.wavelet_denoise(data[i]))
         cleaned[name] = out
-    return BearingRecord(horizontal=cleaned["horizontal"],
-                         vertical=cleaned["vertical"],
-                         sample_rate_hz=record.sample_rate_hz,
-                         snapshot_period_s=record.snapshot_period_s,
-                         bearing_id=record.bearing_id,
-                         condition_id=record.condition_id)
+    return replace(record, **cleaned)
 
 
 def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
-                  stride: int = 5, level: int = 3, denoise: bool = True,
-                  fb=None):
+                  stride: int = 5, level: int = 3, denoise: bool = True):
     """Featurize every window whose last snapshot is at or past the FPT.
 
     Each retained window becomes one LabeledSample: both channels'
@@ -320,7 +294,7 @@ def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
     """
     labels = assign_labels(record.n_snapshots, fpt)
     if denoise:
-        record = preprocess_record(record, fb=fb)
+        record = preprocess_record(record)
     windows = [w for w in sliding_windows(record, size, stride) if w.last >= fpt]
     if not windows:
         raise NoPostFptWindows(f"no windows end at or after fpt {fpt}")
@@ -329,7 +303,7 @@ def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
         sample_args = {}
         for name in CHANNELS:
             signal = record.channel(name)[w.start:w.start + w.size].reshape(-1)
-            sample_args[name] = wpd_image(signal, level, fb, channel=name,
+            sample_args[name] = wpd_image(signal, level, channel=name,
                                           source_window=w)
         samples.append(LabeledSample(hor=sample_args["horizontal"],
                                      ver=sample_args["vertical"],

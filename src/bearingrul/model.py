@@ -49,6 +49,8 @@ class ModelConfig:
                  self.input_side, *self.depths, *self.heads)
         if not all(isinstance(n, int) for n in sizes):
             raise ConfigMismatch("widths, sides, depths and heads must be integers")
+        if not isinstance(self.preset, str):
+            raise ConfigMismatch(f"preset must be a string, not {self.preset!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigMismatch("dropout_p must be in [0, 1)")
         if self.input_side % 2 or (self.input_side // 2) % 8:
@@ -322,8 +324,8 @@ def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 
 def conv_stem(x: Tensor, params: ModelParams, channel: str) -> Tensor:
     """3x3 conv (pad 1) -> ReLU -> 2x2 max pool; halves the spatial side."""
-    y = ad.conv2d(x, params[f"stem.{channel}.w"], params[f"stem.{channel}.b"], pad=1)
-    return ad.maxpool2d(ad.relu(y), 2, 2)
+    y = ad.conv2d(x, params[f"stem.{channel}.w"], params[f"stem.{channel}.b"])
+    return ad.maxpool2d(ad.relu(y))
 
 
 def fuse(hor_feat: Tensor, ver_feat: Tensor, params: ModelParams,

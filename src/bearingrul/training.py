@@ -44,14 +44,11 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 16
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.eps) <= 0:
-            raise InvalidConfig("learning_rate, batch_size and eps must be positive")
+        if min(self.learning_rate, self.batch_size) <= 0:
+            raise InvalidConfig("learning_rate and batch_size must be positive")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
 
@@ -114,6 +111,11 @@ def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tens
 # Optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Moment vectors aligned with the parameter vector, the step count, and
     two scratch vectors that each update reuses instead of allocating."""
@@ -131,12 +133,13 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState,
 
     m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
     flat -= lr (m / c1) / (sqrt(v / c2) + eps) with c_i = 1 - b_i^t,
-    each product and quotient rounded in that order.
+    each product and quotient rounded in that order; b1, b2 and eps are
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
     if grad.shape != flat.shape:
         raise ShapeMismatch(f"grad {grad.shape} vs params {flat.shape}")
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, (tmp, step) = state.m, state.v, state.scratch
     np.multiply(grad, 1.0 - b1, out=tmp)
     m *= b1
@@ -149,7 +152,7 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState,
     step *= cfg.learning_rate
     np.divide(v, 1.0 - b2 ** state.t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps
+    tmp += ADAM_EPS
     step /= tmp
     flat -= step
     return state

@@ -1,5 +1,9 @@
 """Wavelet filter banks, DWT/WPD, threshold denoising, Savitzky-Golay, kurtosis.
 
+The signal stage is fixed: every transform uses the 10-tap Daubechies-5
+pair DB5, denoising thresholds DENOISE_LEVELS detail levels, and smoothing
+uses the (5, 2) Savitzky-Golay kernel SAVGOL.
+
 All transforms use periodized boundary extension, which keeps them exactly
 orthonormal at every even length (odd lengths are wrap-padded by one sample
 before filtering), so decompose -> reconstruct is exact to machine precision.
@@ -25,6 +29,7 @@ from .errors import (
 )
 
 SQRT2 = np.sqrt(2.0)
+DENOISE_LEVELS = 2
 
 
 def _as_samples(x):
@@ -99,17 +104,15 @@ def daubechies_filters(order: int) -> FilterBank:
     return FilterBank(lowpass=h, highpass=quadrature_mirror(h), name=f"db{order}")
 
 
-def db5_filters() -> FilterBank:
-    """The default 10-tap Daubechies-5 decomposition pair."""
-    return daubechies_filters(5)
+DB5 = daubechies_filters(5)
 
 
 # ---------------------------------------------------------------------------
 # DWT / inverse DWT
 # ---------------------------------------------------------------------------
 
-def dwt_level(x, fb: FilterBank):
-    """One analysis step: periodized convolution + downsample by 2.
+def dwt_level(x):
+    """One DB5 analysis step: periodized convolution + downsample by 2.
 
     Odd-length inputs are wrap-padded by one sample first, so both outputs
     have length ceil(len(x)/2).
@@ -122,13 +125,13 @@ def dwt_level(x, fb: FilterBank):
     if x.size % 2:
         x = np.concatenate([x, x[:1]])
     n = x.size
-    taps = fb.lowpass.size
+    taps = DB5.lowpass.size
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
     windows = x[idx]
-    return windows @ fb.lowpass, windows @ fb.highpass
+    return windows @ DB5.lowpass, windows @ DB5.highpass
 
 
-def idwt_level(approx, detail, fb: FilterBank):
+def idwt_level(approx, detail):
     """Exact inverse of dwt_level (transpose of the orthonormal analysis map)."""
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
@@ -139,9 +142,9 @@ def idwt_level(approx, detail, fb: FilterBank):
         raise EmptyInput("idwt_level on empty coefficients")
     n = 2 * approx.size
     x = np.zeros(n)
-    for k in range(fb.lowpass.size):
+    for k in range(DB5.lowpass.size):
         pos = (2 * np.arange(approx.size) + k) % n
-        np.add.at(x, pos, approx * fb.lowpass[k] + detail * fb.highpass[k])
+        np.add.at(x, pos, approx * DB5.lowpass[k] + detail * DB5.highpass[k])
     return x
 
 
@@ -159,10 +162,8 @@ class DwtCoeffs:
     input_lengths: list = field(default_factory=list)
 
 
-def dwt(x, levels: int, fb: FilterBank = None) -> DwtCoeffs:
+def dwt(x, levels: int) -> DwtCoeffs:
     """Cascade dwt_level on the approximation branch `levels` times."""
-    if fb is None:
-        fb = db5_filters()
     if levels < 1:
         raise ValueError("levels must be >= 1")
     a = _as_samples(x)
@@ -172,19 +173,17 @@ def dwt(x, levels: int, fb: FilterBank = None) -> DwtCoeffs:
     details, lengths = [], []
     for _ in range(levels):
         lengths.append(a.size)
-        a, d = dwt_level(a, fb)
+        a, d = dwt_level(a)
         details.append(d)
     return DwtCoeffs(approximation=a, details=details, levels=levels,
                      input_lengths=lengths)
 
 
-def idwt(coeffs: DwtCoeffs, fb: FilterBank = None):
+def idwt(coeffs: DwtCoeffs):
     """Invert dwt exactly, truncating any wrap-padding level by level."""
-    if fb is None:
-        fb = db5_filters()
     a = coeffs.approximation
     for level in range(coeffs.levels - 1, -1, -1):
-        a = idwt_level(a, coeffs.details[level], fb)
+        a = idwt_level(a, coeffs.details[level])
         a = a[:coeffs.input_lengths[level]]
     return a
 
@@ -193,25 +192,13 @@ def idwt(coeffs: DwtCoeffs, fb: FilterBank = None):
 # Wavelet packet decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WpdTree:
-    """Full binary filter-bank tree: 2^level subbands in natural order.
+def wpd(x, level: int) -> np.ndarray:
+    """Decompose both branches recursively to `level`, periodized boundaries.
 
-    Natural order means subband index bits spell the filter path from the
-    root, 0 = lowpass, 1 = highpass, most significant bit first.
+    Returns a (2^level, m) float64 array, one subband per row in natural
+    order: the bits of the row index spell the filter path from the root,
+    0 = lowpass, 1 = highpass, most significant bit first.
     """
-
-    level: int
-    subbands: list
-
-    def energy(self):
-        return sum(float((b ** 2).sum()) for b in self.subbands)
-
-
-def wpd(x, level: int, fb: FilterBank = None) -> WpdTree:
-    """Decompose both branches recursively to `level`, periodized boundaries."""
-    if fb is None:
-        fb = db5_filters()
     if level < 1:
         raise InvalidConfig("level must be >= 1")
     sig = _as_samples(x)
@@ -220,13 +207,8 @@ def wpd(x, level: int, fb: FilterBank = None) -> WpdTree:
             f"wpd level {level} needs at least {2 ** level} samples, got {sig.size}")
     bands = [sig]
     for _ in range(level):
-        nxt = []
-        for b in bands:
-            a, d = dwt_level(b, fb)
-            nxt.append(a)
-            nxt.append(d)
-        bands = nxt
-    return WpdTree(level=level, subbands=bands)
+        bands = [half for b in bands for half in dwt_level(b)]
+    return np.stack(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +238,17 @@ def soft_threshold(c, t: float):
     return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
 
 
-def wavelet_denoise(x, levels: int = 2, fb: FilterBank = None):
-    """Soft-threshold all detail bands; approximation passes through.
+def wavelet_denoise(x):
+    """Soft-threshold all DENOISE_LEVELS detail bands; approximation passes through.
 
     The noise scale is estimated once from the level-1 detail band and the
     resulting universal threshold is applied to every detail level.
     """
-    if fb is None:
-        fb = db5_filters()
     samples = _as_samples(x)
-    coeffs = dwt(samples, levels, fb)
+    coeffs = dwt(samples, DENOISE_LEVELS)
     t = universal_threshold(coeffs.details[0], samples.size)
     coeffs.details = [soft_threshold(d, t) for d in coeffs.details]
-    return idwt(coeffs, fb)
+    return idwt(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +271,7 @@ class SavGolKernel:
             raise ValueError("kernel must be symmetric")
 
 
-def savgol_kernel(window: int = 5, order: int = 2) -> SavGolKernel:
+def savgol_kernel(window: int, order: int) -> SavGolKernel:
     """Weights of the least-squares polynomial fit evaluated at the center.
 
     Fitting a degree-`order` polynomial to the window and reading its value
@@ -310,20 +290,21 @@ def savgol_kernel(window: int = 5, order: int = 2) -> SavGolKernel:
     return SavGolKernel(weights=weights, window=window, poly_order=order)
 
 
-def savgol_filter(x, kernel: SavGolKernel = None):
-    """Smooth by centered convolution; mirror-extend the boundaries.
+SAVGOL = savgol_kernel(5, 2)
+
+
+def savgol_filter(x):
+    """Smooth with SAVGOL by centered convolution; mirror-extend the boundaries.
 
     The output has the input's length.
     """
-    if kernel is None:
-        kernel = savgol_kernel()
     samples = _as_samples(x)
-    if samples.size < kernel.window:
+    if samples.size < SAVGOL.window:
         raise SignalTooShort(
-            f"signal length {samples.size} < window {kernel.window}")
-    half = kernel.window // 2
+            f"signal length {samples.size} < window {SAVGOL.window}")
+    half = SAVGOL.window // 2
     padded = np.pad(samples, half, mode="reflect")
-    return np.convolve(padded, kernel.weights[::-1], mode="valid")
+    return np.convolve(padded, SAVGOL.weights[::-1], mode="valid")
 
 
 # ---------------------------------------------------------------------------

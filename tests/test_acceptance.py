@@ -51,18 +51,17 @@ def test_criterion_1_wavelet_correctness():
     with criterion(1, "perfect reconstruction <= 1e-10 and WPD energy "
                       "conservation <= 1e-8 (levels 1-5), under 5 s"):
         started = time.monotonic()
-        fb = wv.db5_filters()
         rng = np.random.default_rng(101)
         for n in (16, 100, 255, 512, 1023, 2048, 4095, 4096):
             x = rng.normal(size=n)
-            coeffs = wv.dwt(x, 2, fb)
-            assert np.abs(wv.idwt(coeffs, fb) - x).max() <= 1e-10
+            coeffs = wv.dwt(x, 2)
+            assert np.abs(wv.idwt(coeffs) - x).max() <= 1e-10
         for level in range(1, 6):
             for n in (4096, 2560):
                 x = rng.normal(size=n)
-                tree = wv.wpd(x, level, fb)
+                bands = wv.wpd(x, level)
                 energy_in = float((x ** 2).sum())
-                assert abs(tree.energy() - energy_in) / energy_in <= 1e-8
+                assert abs(float((bands ** 2).sum()) - energy_in) / energy_in <= 1e-8
         assert time.monotonic() - started < 5.0
 
 
@@ -75,7 +74,7 @@ def test_criterion_2_savgol_kernel():
         offsets = np.arange(-half, half + 1, dtype=float)
         design = np.vander(offsets, 3, increasing=True)
         oracle, *_ = np.linalg.lstsq(design.T @ design, design.T, rcond=None)
-        kernel = wv.savgol_kernel(5, 2)
+        kernel = wv.SAVGOL
         assert np.abs(kernel.weights - oracle[0]).max() <= 1e-12
 
         rng = np.random.default_rng(102)
@@ -83,7 +82,7 @@ def test_criterion_2_savgol_kernel():
         for _ in range(25):
             a, b, c = rng.normal(size=3)
             poly = a + b * i + c * i ** 2
-            out = wv.savgol_filter(poly, kernel)
+            out = wv.savgol_filter(poly)
             assert np.abs(out[2:-2] - poly[2:-2]).max() <= 1e-9
 
 

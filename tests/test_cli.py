@@ -330,7 +330,8 @@ def test_invalid_option_value_exits_two(command, source, options, record_dir,
 
 
 @pytest.mark.parametrize("bearing_id", ["../escaped", "a/b", "", ".", "..",
-                                        "ABSOLUTE"])
+                                        "ABSOLUTE", "manifest.json",
+                                        "record_summary.json"])
 def test_synth_bearing_id_must_be_a_plain_name(bearing_id, tmp_path, capsys):
     if bearing_id == "ABSOLUTE":
         bearing_id = str(tmp_path / "absolute")
@@ -380,12 +381,51 @@ def _not_utf8(header):
     return b"\xff\xfe" + json.dumps(header).encode()
 
 
+def _string_seed(header):
+    header["init_seed"] = "x"
+    return header
+
+
+def _bool_seed(header):
+    header["init_seed"] = True
+    return header
+
+
+def _int_preset(header):
+    header["config"]["preset"] = 5
+    return header
+
+
 @pytest.mark.parametrize("edit", [_drop_manifest, _unknown_config_key, _not_utf8,
-                                  _three_depths, _wider_config, _float_width])
+                                  _three_depths, _wider_config, _float_width,
+                                  _string_seed, _bool_seed, _int_preset])
 def test_malformed_checkpoint_header_exits_three(edit, dataset_path,
                                                  checkpoint_path, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_rewrite_header(checkpoint_path, edit))
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(dataset_path), "--checkpoint",
+                   str(bad), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("CorruptContainer:")
+
+
+@pytest.mark.parametrize("name,value", [("head.out.b", np.inf),
+                                        ("embed.w", np.nan)])
+def test_non_finite_checkpoint_parameter_exits_three(name, value, dataset_path,
+                                                     checkpoint_path, tmp_path,
+                                                     capsys):
+    blob = bytearray(checkpoint_path.read_bytes())
+    _, _, hlen = struct.unpack_from("<4sIQ", blob)
+    _, cfg = dataio.load_checkpoint(checkpoint_path)
+    offset = 16 + hlen
+    for entry, shape in md.param_layout(cfg):
+        if entry == name:
+            break
+        offset += 8 * int(np.prod(shape))
+    struct.pack_into("<d", blob, offset, value)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
     out = tmp_path / "out"
     code = run_cli("eval", "--dataset", str(dataset_path), "--checkpoint",
                    str(bad), "--outdir", str(out))

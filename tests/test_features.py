@@ -232,9 +232,9 @@ def test_wpd_image_normalize_idempotent():
 def test_wpd_image_row_block_layout():
     x = np.random.default_rng(12).normal(size=4096)
     img = ft.wpd_image(x)
-    tree = wv.wpd(x, 3)
+    bands = wv.wpd(x, 3)
     raw = np.empty((64, 64))
-    for b, band in enumerate(tree.subbands):
+    for b, band in enumerate(bands):
         raw[8 * b:8 * (b + 1), :] = band.reshape(8, 64)  # 512 points per band
     expected = (raw - raw.min()) / (raw.max() - raw.min())
     np.testing.assert_allclose(img.pixels, expected.astype(np.float32), atol=1e-7)
@@ -242,8 +242,8 @@ def test_wpd_image_row_block_layout():
 
 def test_wpd_image_paper_scale_band_length():
     x = np.random.default_rng(13).normal(size=25600)
-    tree = wv.wpd(x, 3)
-    assert all(b.size == 3200 for b in tree.subbands)
+    bands = wv.wpd(x, 3)
+    assert all(b.size == 3200 for b in bands)
     img = ft.wpd_image(x)
     assert img.pixels.shape == (64, 64)
 

@@ -27,22 +27,22 @@ DB5_LOWPASS = np.array([
 # --- filter banks ---
 
 def test_db5_sums_to_sqrt2():
-    fb = wv.db5_filters()
+    fb = wv.DB5
     assert abs(fb.lowpass.sum() - SQRT2) <= 1e-12
 
 
 def test_db5_unit_energy():
-    fb = wv.db5_filters()
+    fb = wv.DB5
     assert abs((fb.lowpass ** 2).sum() - 1.0) <= 1e-12
 
 
 def test_db5_matches_published_table():
-    fb = wv.db5_filters()
+    fb = wv.DB5
     np.testing.assert_allclose(fb.lowpass, DB5_LOWPASS, rtol=0, atol=1e-10)
 
 
 def test_db5_highpass_is_quadrature_mirror():
-    fb = wv.db5_filters()
+    fb = wv.DB5
     expected = fb.lowpass[::-1].copy()
     expected[1::2] *= -1.0
     np.testing.assert_allclose(fb.highpass, expected, rtol=0, atol=0)
@@ -68,59 +68,54 @@ def test_daubechies_order_out_of_range():
 # --- single-level DWT ---
 
 def test_dwt_constant_vector():
-    fb = wv.db5_filters()
-    approx, detail = wv.dwt_level(np.full(8, 3.0), fb)
+    approx, detail = wv.dwt_level(np.full(8, 3.0))
     np.testing.assert_allclose(approx, np.full(4, 3.0 * SQRT2), atol=1e-12)
     assert np.abs(detail).max() <= 1e-12
 
 
 def test_dwt_impulse_energy_preserved():
-    fb = wv.db5_filters()
     x = np.zeros(16)
     x[0] = 1.0
-    approx, detail = wv.dwt_level(x, fb)
+    approx, detail = wv.dwt_level(x)
     assert abs((approx ** 2).sum() + (detail ** 2).sum() - 1.0) <= 1e-12
 
 
 def test_dwt_empty_input():
     with pytest.raises(EmptyInput):
-        wv.dwt_level(np.array([]), wv.db5_filters())
+        wv.dwt_level(np.array([]))
 
 
 def test_idwt_length_mismatch():
     with pytest.raises(LengthMismatch):
-        wv.idwt_level(np.zeros(4), np.zeros(5), wv.db5_filters())
+        wv.idwt_level(np.zeros(4), np.zeros(5))
 
 
 def test_idwt_constant_inverts():
-    fb = wv.db5_filters()
-    out = wv.idwt_level(np.full(4, 3.0 * SQRT2), np.zeros(4), fb)
+    out = wv.idwt_level(np.full(4, 3.0 * SQRT2), np.zeros(4))
     np.testing.assert_allclose(out, np.full(8, 3.0), atol=1e-12)
 
 
 def test_idwt_zeros_gives_zeros():
-    out = wv.idwt_level(np.zeros(8), np.zeros(8), wv.db5_filters())
+    out = wv.idwt_level(np.zeros(8), np.zeros(8))
     assert np.abs(out).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 8, 10, 33, 64, 100, 255, 1024, 4095, 4096])
 def test_perfect_reconstruction_single_level(n):
-    fb = wv.db5_filters()
     x = np.random.default_rng(n).normal(size=n)
-    approx, detail = wv.dwt_level(x, fb)
-    back = wv.idwt_level(approx, detail, fb)
+    approx, detail = wv.dwt_level(x)
+    back = wv.idwt_level(approx, detail)
     assert np.abs(back[:n] - x).max() <= 1e-10
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 5])
 def test_perfect_reconstruction_multilevel(levels):
-    fb = wv.db5_filters()
     rng = np.random.default_rng(levels)
     for n in (64, 100, 1000, 4096):
         x = rng.normal(size=n)
-        coeffs = wv.dwt(x, levels, fb)
+        coeffs = wv.dwt(x, levels)
         assert coeffs.levels == levels
-        np.testing.assert_allclose(wv.idwt(coeffs, fb), x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(wv.idwt(coeffs), x, rtol=0, atol=1e-10)
 
 
 def test_dwt_coefficient_lengths():
@@ -137,30 +132,31 @@ def test_dwt_too_short():
 # --- wavelet packets ---
 
 def test_wpd_snapshot_shape():
-    tree = wv.wpd(np.random.default_rng(1).normal(size=2560), 3)
-    assert len(tree.subbands) == 8
-    assert all(b.size == 320 for b in tree.subbands)
+    bands = wv.wpd(np.random.default_rng(1).normal(size=2560), 3)
+    assert bands.shape == (8, 320) and bands.dtype == np.float64
+    assert len(bands) == 8
+    assert all(b.size == 320 for b in bands)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_wpd_energy_conservation(level):
     x = np.random.default_rng(level).normal(size=4096)
-    tree = wv.wpd(x, level)
-    rel = abs(tree.energy() - (x ** 2).sum()) / (x ** 2).sum()
+    bands = wv.wpd(x, level)
+    rel = abs((bands ** 2).sum() - (x ** 2).sum()) / (x ** 2).sum()
     assert rel <= 1e-8
 
 
 def test_wpd_constant_only_first_subband():
-    tree = wv.wpd(np.full(64, 2.0), 3)
-    assert np.abs(tree.subbands[0]).min() > 0
-    for band in tree.subbands[1:]:
+    bands = wv.wpd(np.full(64, 2.0), 3)
+    assert np.abs(bands[0]).min() > 0
+    for band in bands[1:]:
         assert np.abs(band).max() <= 1e-10
 
 
 def test_wpd_coefficient_count_matches_input():
     x = np.random.default_rng(2).normal(size=2560)
-    tree = wv.wpd(x, 3)
-    assert sum(b.size for b in tree.subbands) == x.size
+    bands = wv.wpd(x, 3)
+    assert sum(b.size for b in bands) == x.size
 
 
 def test_wpd_too_short():
@@ -177,8 +173,8 @@ def test_sequency_view_orders_tones_by_frequency():
     gray = [i ^ (i >> 1) for i in range(8)]
     peaks = []
     for cycles_per_sample in (0.03, 0.15, 0.28, 0.42):
-        tree = wv.wpd(np.sin(2 * np.pi * cycles_per_sample * t), 3)
-        energies = [(tree.subbands[i] ** 2).sum() for i in gray]
+        bands = wv.wpd(np.sin(2 * np.pi * cycles_per_sample * t), 3)
+        energies = [(bands[i] ** 2).sum() for i in gray]
         peaks.append(int(np.argmax(energies)))
     assert peaks == sorted(peaks)
     assert peaks[0] < peaks[-1]
@@ -317,7 +313,7 @@ def test_savgol_filter_polynomial_reproduction():
     for _ in range(10):
         a, b, c = rng.normal(size=3)
         x = a + b * i + c * i ** 2
-        out = wv.savgol_filter(x, wv.savgol_kernel(5, 2))
+        out = wv.savgol_filter(x)
         np.testing.assert_allclose(out[2:-2], x[2:-2], rtol=0, atol=1e-8)
 
 
@@ -330,7 +326,7 @@ def test_savgol_filter_spike_attenuation():
 
 def test_savgol_filter_too_short():
     with pytest.raises(SignalTooShort):
-        wv.savgol_filter(np.ones(3), wv.savgol_kernel(5, 2))
+        wv.savgol_filter(np.ones(3))
 
 
 # --- kurtosis ---
