@@ -275,6 +275,23 @@ def test_train_seeded_run_matches_golden_hash():
     assert digest.hexdigest() == GOLDEN_SEEDED_DESK_RUN
 
 
+# sha256 of predict_batch's <f8 output for jittered seeded desk params on
+# tiny_dataset(12), in chunks of 5; recorded before the stem pooled before its
+# ReLU and inference stopped recording a graph
+GOLDEN_SEEDED_DESK_PREDICTIONS = \
+    "6c5abc2c0b160aa143003e4d99d851915c36c39fa74c5a247a12f398e1537e19"
+
+
+def test_predict_batch_matches_golden_hash():
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=7)
+    params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
+    preds = md.predict_batch(params, cfg, tiny_dataset(12), batch_size=5)
+    assert preds.shape == (12,) and np.unique(preds).size == 12
+    digest = hashlib.sha256(preds.astype("<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_SEEDED_DESK_PREDICTIONS
+
+
 def test_train_loss_decreases():
     dataset = tiny_dataset(12)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=6, seed=2)
