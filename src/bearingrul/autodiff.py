@@ -4,9 +4,11 @@ Everything is float64. Each operation records its parents and a
 vector-Jacobian closure on the output tensor; backward() topologically
 orders the reachable graph (the tape) and accumulates gradients into the
 leaves. Running a forward pass twice simply builds two disjoint graphs, so
-no explicit clearing is needed. Broadcasting is supported for the
-elementwise ops (gradients are summed back over broadcast axes); matmul
-requires explicit shapes beyond the weight-matrix and equal-batch cases.
+no explicit clearing is needed; inside `with no_grad():` nothing is
+recorded, so an inference pass keeps no closures or inputs alive.
+Broadcasting is supported for the elementwise ops (gradients are summed
+back over broadcast axes); matmul requires explicit shapes beyond the
+weight-matrix and equal-batch cases.
 """
 
 import numpy as np
@@ -48,10 +50,27 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class no_grad:
+    """Context in which ops record no graph: outputs are constants.
+
+    Gradients flow only through ops recorded outside it; the previous
+    setting is restored on exit, also when the block raises.
+    """
+
+    recording = True
+
+    def __enter__(self):
+        self._saved, no_grad.recording = no_grad.recording, False
+        return self
+
+    def __exit__(self, *exc):
+        no_grad.recording = self._saved
+
+
 def _result(data, parents, vjp) -> Tensor:
-    """Record the op only when some parent participates in the tape."""
+    """Record the op only when recording and some parent is on the tape."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if no_grad.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -134,7 +153,8 @@ def mul(a, b):
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _result(np.where(mask, a.data, 0.0), (a,),
+                   lambda g: (np.where(mask, g, 0.0),))
 
 
 def square(a):
@@ -322,22 +342,30 @@ def conv2d(x, w, b):
 
 
 def maxpool2d(x):
-    """2x2 max pooling, stride 2; gradient to the first maximum in row-major scan."""
+    """2x2 max pooling, stride 2; gradient to the first maximum in row-major scan.
+
+    Works on the (N, C, H/2, 2, W/2, 2) view of the input, a view for any
+    memory layout, so the output and the input gradient keep the input's
+    layout (channels-last conv maps stay channels-last) and nothing is
+    copied into window order.
+    """
     x = _wrap(x)
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise IndivisibleShape(f"H and W must be even, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    win = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, h2, w2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    out = np.maximum(np.maximum(win[..., 0, :, 0], win[..., 0, :, 1]),
+                     np.maximum(win[..., 1, :, 0], win[..., 1, :, 1]))
 
     def vjp(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h, w)
-        return (dx,)
+        hit = win == out[:, :, :, None, :, None]
+        free = ~hit[..., 0, :, 0]
+        for i, j in ((0, 1), (1, 0), (1, 1)):  # keep each window's first hit
+            later = hit[..., i, :, j]
+            later &= free
+            free &= ~later
+        # np.where, not g * hit, which would write -0.0 beside a negative g
+        dx = np.where(hit, g[:, :, :, None, :, None], 0.0)
+        return (dx.reshape(n, c, h, w),)
 
     return _result(out, (x,), vjp)

@@ -16,6 +16,7 @@ name. On failure the process exits 2 (usage), 3 (data error) or 4
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -375,6 +376,7 @@ def _checked_config(command, values, source: str) -> dict:
 
     Checks what argparse would: a known command, known keys, and each value
     of its flag's JSON type; an int passes for a float, null for a None default.
+    A float must also be finite (InvalidConfig).
     """
     if not isinstance(command, str) or command not in COMMANDS:
         raise DataError(f"{source}: unknown command {command!r}")
@@ -390,7 +392,15 @@ def _checked_config(command, values, source: str) -> dict:
                 and isinstance(value, bool) == (flag.kind is bool)):
             raise DataError(f"{source}: option {key!r} must be a JSON "
                             f"{flag.kind.__name__}, not {value!r}")
+        _check_finite(flag, value, source)
     return {key: values.get(key, flag.default) for key, flag in flags.items()}
+
+
+def _check_finite(flag: Flag, value, source: str) -> None:
+    """A float option must be finite: nan fails every range check silently,
+    and manifest.json could not record it as JSON."""
+    if flag.kind is float and value is not None and not math.isfinite(value):
+        raise InvalidConfig(f"{source}: --{flag.name} must be finite, not {value}")
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -398,10 +408,11 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg = _checked_config(command, file_cfg, "config file")
-    for key in cfg:
-        value = getattr(args, key, None)
+    for flag in COMMANDS[command].flags:
+        value = getattr(args, _key(flag), None)
         if value is not None:
-            cfg[key] = value
+            _check_finite(flag, value, "command line")
+            cfg[_key(flag)] = value
     return cfg
 
 

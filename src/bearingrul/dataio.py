@@ -301,6 +301,8 @@ def load_dataset(path):
     sidecar = {}
     if sidecar_path.exists():
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        if not isinstance(sidecar, dict):
+            raise CorruptContainer(f"{sidecar_path}: sidecar is not a JSON object")
     bearing_id = sidecar.get("bearing_id", "")
     samples = []
     off = head

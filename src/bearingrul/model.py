@@ -323,22 +323,29 @@ def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv_stem(x: Tensor, params: ModelParams, channel: str) -> Tensor:
-    """3x3 conv (pad 1) -> ReLU -> 2x2 max pool; halves the spatial side."""
+    """3x3 conv (pad 1) -> 2x2 max pool -> ReLU; halves the spatial side.
+
+    Max and ReLU commute, so this is the conv -> ReLU -> pool stem, bit for
+    bit in outputs and gradients, with the ReLU on a quarter of the elements.
+    """
     y = ad.conv2d(x, params[f"stem.{channel}.w"], params[f"stem.{channel}.b"])
-    return ad.maxpool2d(ad.relu(y))
+    return ad.relu(ad.maxpool2d(y))
 
 
 def fuse(hor_feat: Tensor, ver_feat: Tensor, params: ModelParams,
          cfg: ModelConfig) -> Tensor:
     """Concatenate stem outputs on channels and embed to tokens.
 
-    Output is (N, side, side, embed_dim_base) on the side/2 token grid.
+    Each (N, C, side, side) stem output is already channels-last in memory,
+    so its (N, side, side, C) transpose is a free view and the concat on the
+    last axis is the only copy. Output is (N, side, side, embed_dim_base) on
+    the side/2 token grid.
     """
     if hor_feat.shape != ver_feat.shape:
         raise ConfigMismatch(
             f"stem outputs differ: {hor_feat.shape} vs {ver_feat.shape}")
-    fused = ad.concat([hor_feat, ver_feat], axis=1)
-    tokens = ad.transpose(fused, (0, 2, 3, 1))
+    tokens = ad.concat([ad.transpose(f, (0, 2, 3, 1)) for f in (hor_feat, ver_feat)],
+                       axis=-1)
     return _linear(tokens, params, "embed")
 
 
@@ -460,11 +467,15 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
 
 def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
                   batch_size: int = 64) -> np.ndarray:
-    """Deterministic (dropout-off) predictions for a list of samples."""
+    """Deterministic (dropout-off) predictions for a list of samples.
+
+    Runs under autodiff.no_grad, so no graph is recorded.
+    """
     preds = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        hor = prepare_images([s.hor.pixels for s in chunk], cfg.input_side)
-        ver = prepare_images([s.ver.pixels for s in chunk], cfg.input_side)
-        preds.append(forward_batch(params, cfg, hor, ver, training=False).data)
+    with ad.no_grad():
+        for start in range(0, len(samples), batch_size):
+            chunk = samples[start:start + batch_size]
+            hor = prepare_images([s.hor.pixels for s in chunk], cfg.input_side)
+            ver = prepare_images([s.ver.pixels for s in chunk], cfg.input_side)
+            preds.append(forward_batch(params, cfg, hor, ver, training=False).data)
     return np.concatenate(preds)

@@ -16,16 +16,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _span(values):
+    """(min, max), a degenerate range widened by 1, or by its magnitude
+    where adding 1 is lost to rounding (|v| of 2**53 and more)."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+    return lo, hi
+
+
 def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render [(name, xs, ys), ...] as a standalone SVG string."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(xs_all)
+    y_lo, y_hi = _span(ys_all)
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 

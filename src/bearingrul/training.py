@@ -13,6 +13,7 @@ positive for any nonzero error; when comparing models on this metric the
 convention reported alongside (sum or mean) must match.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,8 +36,8 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in ("custom", "mse"):
             raise InvalidConfig(f"unknown loss kind {self.kind!r}")
-        if self.lam < 0:
-            raise InvalidConfig("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidConfig(f"lam must be finite and >= 0, not {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size) <= 0:
-            raise InvalidConfig("learning_rate and batch_size must be positive")
+        if not (0 < self.learning_rate < math.inf and self.batch_size > 0):
+            raise InvalidConfig("learning_rate must be finite and positive, "
+                                "and batch_size positive")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
 
@@ -169,13 +171,17 @@ class EpochStats:
     val_mae: Optional[float] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, model_cfg, train_cfg: TrainConfig,
           loss_cfg: LossConfig = LossConfig(), val_dataset=None,
           init: Optional[model_mod.ModelParams] = None):
     """Seeded full training run; returns (params, history).
 
     Per epoch: shuffle (seeded), then per batch forward -> loss ->
-    backward -> Adam. A non-finite batch loss aborts with DivergedLoss.
+    backward -> Adam. A non-finite batch loss, or a non-finite parameter
+    after an epoch, aborts with DivergedLoss; numpy's overflow and
+    invalid-value warnings on the way there are silenced, so the error is
+    the only report.
     Epoch order, shuffling, dropout masks and updates are all derived from
     train_cfg.seed, so identical configs give bit-identical trajectories.
     """
@@ -216,6 +222,8 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             loss_sum += value * idx.size
             n_seen += idx.size
             step += 1
+        if not np.isfinite(params.flat).all():
+            raise DivergedLoss(f"non-finite parameters after epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / n_seen)
         if val_dataset:
             val_preds = model_mod.predict_batch(params, model_cfg, val_dataset)

@@ -187,6 +187,88 @@ def test_maxpool_tie_routes_to_first_in_row_major():
     np.testing.assert_allclose(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
 
+
+def _maxpool_oracle(x, g):
+    """The 6-D reshape/argmax pool: (output, input gradient for g)."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros_like(win)
+    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+    dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h, w)
+    return out, dx
+
+
+def _channels_last(rng, shape):
+    """An (N,C,H,W) array laid out (N,H,W,C) in memory, like conv2d's output."""
+    n, c, h, w = shape
+    return rng.normal(size=(n, h, w, c)).round(1).transpose(0, 3, 1, 2)
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_strided_maxpool_matches_argmax_oracle_on_relu_ties():
+    rng = np.random.default_rng(21)
+    x = np.maximum(_channels_last(rng, (3, 5, 8, 6)), 0.0)  # about half ties at 0
+    g = rng.normal(size=(3, 4, 3, 5)).transpose(0, 3, 1, 2)  # as fuse sends it
+    g[::2, :, 0] = -0.0
+    want_out, want_dx = _maxpool_oracle(x, g)
+    out = ad.maxpool2d(t(x))
+    (dx,) = out._vjp(g)
+    _assert_same_bits(out.data, want_out)
+    _assert_same_bits(dx, want_dx)
+    # a channels-last map stays channels-last both ways
+    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert dx.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def test_relu_commutes_with_maxpool_bit_for_bit():
+    rng = np.random.default_rng(22)
+    x = _channels_last(rng, (2, 4, 6, 8))
+    g = rng.normal(size=(2, 4, 3, 4))
+    results = []
+    for order in ((ad.relu, ad.maxpool2d), (ad.maxpool2d, ad.relu)):
+        xt = t(x)
+        out = order[1](order[0](xt))
+        ad.backward(ad.total(ad.mul(out, g)))
+        results.append((out.data, xt.grad))
+    (out_a, dx_a), (out_b, dx_b) = results
+    _assert_same_bits(out_a, out_b)
+    _assert_same_bits(dx_a, dx_b)
+
+
+# --- no_grad ---
+
+def test_no_grad_records_no_graph():
+    a, b = t(np.ones((2, 3))), t(np.ones((3, 2)))
+    with ad.no_grad():
+        out = ad.relu(ad.matmul(a, b))
+        loss = ad.total(out)
+    for node in (out, loss):
+        assert not node.requires_grad and node._parents == () and node._vjp is None
+    ad.backward(loss)
+    assert a.grad is None and b.grad is None
+    np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
+    ad.backward(ad.total(ad.matmul(a, b)))  # recording resumes on exit
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
+
+def test_no_grad_restores_the_flag_after_an_exception():
+    with pytest.raises(ShapeMismatch):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.no_grad.recording
+            ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    assert ad.no_grad.recording
+    assert ad.relu(t([1.0]))._parents
+
+
 # --- dropout semantics ---
 
 def test_dropout_identity_when_not_training():

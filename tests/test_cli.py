@@ -473,6 +473,65 @@ def test_config_file_and_manifest_values_are_checked(argv, values, message,
     assert not out.exists()
 
 
+FLOAT_FLAGS = [(command, flag.name) for command, spec in cli.COMMANDS.items()
+               for flag in spec.flags if flag.kind is float]
+
+
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+def test_non_finite_float_flag_exits_two(command, flag, tmp_path, capsys):
+    key = flag.replace("-", "_")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: float("nan")}))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command,
+                                    "config": {key: float("-inf")}}))
+    for argv, message in (
+            ([command, f"--{flag}", "nan"], f"command line: --{flag} must be "
+             "finite, not nan"),
+            ([command, f"--{flag}=-inf"], f"command line: --{flag} must be "
+             "finite, not -inf"),
+            ([command, "--config", str(config)], f"config file: --{flag} must "
+             "be finite, not nan"),
+            (["rerun", str(manifest)], f"manifest: --{flag} must be finite, "
+             "not -inf")):
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--outdir", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"InvalidConfig: {message}\n"
+        assert not out.exists()
+
+
+def test_non_object_dataset_sidecar_exits_three(dataset_path, checkpoint_path,
+                                                tmp_path, capsys):
+    bad = tmp_path / "dataset.bin"
+    shutil.copy(dataset_path, bad)
+    Path(str(bad) + ".json").write_text("[]\n")
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("CorruptContainer:") and "not a JSON object" in err
+
+
+def test_diverging_train_exits_four_with_one_line(dataset_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("train", "--dataset", str(dataset_path), "--outdir", str(out),
+                   "--epochs", "2", "--batch-size", "4", "--lr", "1e30",
+                   "--val-fraction", "0.25")
+    err = _assert_one_line_failure(capsys, code, 4, out)
+    assert err.startswith("DivergedLoss:")
+
+
+@pytest.mark.parametrize("value,top", [(0.25, "1.25"), (1e30, "2e+30"),
+                                       (-1e30, "0"), (1e300, "2e+300")])
+def test_line_chart_widens_a_constant_series(value, top):
+    # by 1, or by the value's magnitude where adding 1 is lost to rounding
+    svg = plotting.line_chart_svg([("loss", [3], [value])])
+    ET.fromstring(svg)
+    assert f">{top}</text>" in svg and ">4</text>" in svg
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_checked_config_fills_defaults_and_accepts_json_types():
     cfg = cli._checked_config("train", {"lr": 1, "epochs": 2, "dataset": None},
                               "test")

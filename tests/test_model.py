@@ -325,6 +325,27 @@ def test_predict_batch_matches_forward(desk):
     np.testing.assert_allclose(preds, singles, atol=1e-12)
 
 
+def test_predict_batch_records_no_graph(desk, monkeypatch):
+    cfg, params = desk
+    from bearingrul.features import LabeledSample, wpd_image
+    rng = np.random.default_rng(14)
+    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
+                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
+               for _ in range(3)]
+    outputs = []
+    real = md.forward_batch
+
+    def spy(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(md, "forward_batch", spy)
+    md.predict_batch(params, cfg, samples, batch_size=2)
+    assert len(outputs) == 2
+    assert all(not o.requires_grad and o._parents == () for o in outputs)
+    assert ad.no_grad.recording
+
+
 def test_dropout_seed_changes_training_output():
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=1)

@@ -317,15 +317,41 @@ def test_train_diverged_loss_aborts():
         tr.train(dataset, cfg, tcfg, tr.LossConfig(), init=poisoned)
 
 
+def test_train_non_finite_parameters_abort():
+    # NaN stem weights make NaN conv maps, but the ReLU after the pool turns
+    # them into zeros, so every loss stays finite while the weights stay NaN
+    dataset = tiny_dataset(6)
+    cfg = md.desk_config()
+    poisoned = md.init_params(cfg, seed=0)
+    poisoned["stem.hor.w"].data[0] = np.nan
+    tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, seed=0)
+    with pytest.raises(DivergedLoss, match="parameters after epoch 0"):
+        tr.train(dataset, cfg, tcfg, tr.LossConfig(), init=poisoned)
+
+
+def test_train_divergence_raises_without_numpy_warnings():
+    # pytest turns warnings into errors, so an overflow warning fails here
+    tcfg = tr.TrainConfig(learning_rate=1e30, batch_size=2, epochs=3, seed=0)
+    with pytest.raises(DivergedLoss):
+        tr.train(tiny_dataset(6), md.desk_config(), tcfg, tr.LossConfig(),
+                 val_dataset=tiny_dataset(2, seed=3))
+
+
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         tr.LossConfig(kind="huber")
     with pytest.raises(ValueError):
         tr.LossConfig(lam=-0.5)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tr.LossConfig(lam=lam)
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(learning_rate=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         tr.TrainConfig(epochs=-1)
