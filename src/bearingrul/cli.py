@@ -15,6 +15,7 @@ name. On failure the process exits 2 (usage), 3 (data error) or 4
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -33,6 +34,12 @@ from .errors import BearingRulError, DataError, InvalidConfig, NumericError
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# glibc mallopt parameters and the values the CLI pins them to (see
+# _keep_freed_heap_mapped); 32 MiB is glibc's largest mmap threshold.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 256 << 20
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -448,7 +455,30 @@ class CliUsageError(Exception):
     pass
 
 
+def _keep_freed_heap_mapped() -> bool:
+    """Pin glibc's heap thresholds so freed numpy temporaries stay mapped.
+
+    Forward and backward passes free and reallocate megabytes of arrays
+    per batch. By default glibc mmaps blocks above a threshold that grows
+    with the sizes freed so far, and unmaps the heap top once its free
+    space passes twice that threshold. Whether a batch reuses the previous
+    batch's pages or faults thousands of them back in then depends on what
+    the process allocated earlier, and a process can switch between the two
+    halfway through. With fixed thresholds every block up to
+    HEAP_MMAP_THRESHOLD comes from the heap and the heap is not trimmed
+    below HEAP_TRIM_THRESHOLD of free space, so each batch after the first
+    reuses mapped pages. Returns False where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return False
+    return bool(mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD))
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap_mapped()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
