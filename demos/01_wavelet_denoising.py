@@ -1,6 +1,6 @@
 """Wavelet denoising walkthrough.
 
-A noisy tone is decomposed with the db5 filter bank, its detail
+A noisy tone is decomposed with the db5 filter pair, its detail
 coefficients are soft-thresholded with the universal rule, and the signal
 is rebuilt. Along the way we confirm the properties that make this safe:
 the transform reconstructs perfectly, and thresholding only ever shrinks
@@ -21,13 +21,13 @@ noisy = clean + 0.5 * rng.standard_normal(n)
 
 print("db5 lowpass sums to sqrt(2):", wv.DB5.lowpass.sum())
 
-# the transform itself is lossless
-coeffs = wv.dwt(noisy, levels=wv.DENOISE_LEVELS)
+# one analysis level and its inverse: the transform itself is lossless
+approx, detail = wv.dwt_level(noisy)
 print("perfect reconstruction error:",
-      np.abs(wv.idwt(coeffs) - noisy).max())
+      np.abs(wv.idwt_level(approx, detail) - noisy).max())
 
 # noise scale is estimated from the finest detail band
-threshold = wv.universal_threshold(coeffs.details[0], n)
+threshold = wv.universal_threshold(detail, n)
 print("universal threshold:", round(threshold, 4))
 
 # the pipeline's fixed settings: db5, two detail levels, a (5, 2) kernel

@@ -321,7 +321,9 @@ def conv2d(x, w, b):
     cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
         n, ho * wo, c * kh * kw)
     wmat = w.data.reshape(f, -1)
-    out = (cols @ wmat.T + b.data).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    out = cols @ wmat.T
+    out += b.data  # in place: `+ b` would hold a second (N, H*W, F) array
+    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, ho * wo, f)
@@ -341,21 +343,30 @@ def conv2d(x, w, b):
     return _result(out, (x, w, b), vjp)
 
 
+def _max_2x2(a):
+    """Window view and maxima of a 2x2, stride-2 max over an (N, C, H, W) array.
+
+    The (N, C, H/2, 2, W/2, 2) window view exists for any memory layout, so
+    the (N, C, H/2, W/2) maxima keep the input's layout.
+    """
+    n, c, h, w = a.shape
+    win = a.reshape(n, c, h // 2, 2, w // 2, 2)
+    return win, np.maximum(np.maximum(win[..., 0, :, 0], win[..., 0, :, 1]),
+                           np.maximum(win[..., 1, :, 0], win[..., 1, :, 1]))
+
+
 def maxpool2d(x):
     """2x2 max pooling, stride 2; gradient to the first maximum in row-major scan.
 
-    Works on the (N, C, H/2, 2, W/2, 2) view of the input, a view for any
-    memory layout, so the output and the input gradient keep the input's
-    layout (channels-last conv maps stay channels-last) and nothing is
-    copied into window order.
+    Works on the (N, C, H/2, 2, W/2, 2) window view of the input, so the
+    output and the input gradient keep the input's layout (channels-last
+    conv maps stay channels-last) and nothing is copied into window order.
     """
     x = _wrap(x)
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise IndivisibleShape(f"H and W must be even, got {h}x{w}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = np.maximum(np.maximum(win[..., 0, :, 0], win[..., 0, :, 1]),
-                     np.maximum(win[..., 1, :, 0], win[..., 1, :, 1]))
+    win, out = _max_2x2(x.data)
 
     def vjp(g):
         hit = win == out[:, :, :, None, :, None]

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, features, model, plotting, training
-from .errors import BearingRulError, DataError, InvalidConfig, NumericError
+from .errors import (BearingRulError, DataError, EmptyDataset, InvalidConfig,
+                     NumericError)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -88,8 +89,8 @@ def _record_summary(record) -> dict:
         "condition_id": record.condition_id,
         "n_snapshots": record.n_snapshots,
         "samples_per_snapshot": record.samples_per_snapshot,
-        "sample_rate_hz": record.sample_rate_hz,
-        "snapshot_period_s": record.snapshot_period_s,
+        "sample_rate_hz": dataio.PRONOSTIA_SAMPLE_RATE,
+        "snapshot_period_s": dataio.PRONOSTIA_PERIOD_S,
         "horizontal_rms_first": float(np.sqrt((record.horizontal[0] ** 2).mean())),
         "horizontal_rms_last": float(np.sqrt((record.horizontal[-1] ** 2).mean())),
         "vertical_rms_first": float(np.sqrt((record.vertical[0] ** 2).mean())),
@@ -205,6 +206,8 @@ def cmd_train(cfg, out: Path):
 
 def _evaluate(cfg):
     samples, _ = dataio.load_dataset(cfg["dataset"])
+    if not samples:
+        raise EmptyDataset(f"{cfg['dataset']}: no samples to predict")
     params, mcfg = dataio.load_checkpoint(cfg["checkpoint"])
     preds = model.predict_batch(params, mcfg, samples)
     return preds, np.array([s.label for s in samples])
@@ -344,8 +347,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its own usage errors, like every other failure, as one
+    stderr line with exit status 2. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"UsageError: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bearingrul",
         description="Bearing RUL pipeline: synthesize or ingest vibration "
                     "records, detect degradation onset, featurize, train and "

@@ -90,8 +90,6 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     m = re.match(r"Bearing(\d+)_(\d+)", root.name)
     return BearingRecord(horizontal=np.stack(hor_snaps),
                          vertical=np.stack(ver_snaps),
-                         sample_rate_hz=PRONOSTIA_SAMPLE_RATE,
-                         snapshot_period_s=PRONOSTIA_PERIOD_S,
                          bearing_id=root.name,
                          condition_id=int(m.group(1)) if m else 0)
 
@@ -126,11 +124,11 @@ def save_record_csvdir(record: BearingRecord, directory):
     root.mkdir(parents=True, exist_ok=True)
     written = []
     for i in range(record.n_snapshots):
-        t0 = i * record.snapshot_period_s
+        t0 = i * PRONOSTIA_PERIOD_S
         path = root / f"acc_{i + 1:05d}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for j in range(record.samples_per_snapshot):
-                t = t0 + j / record.sample_rate_hz
+                t = t0 + j / PRONOSTIA_SAMPLE_RATE
                 h, rem = divmod(t, 3600.0)
                 m, s = divmod(rem, 60.0)
                 us = (s - math.floor(s)) * 1e6
@@ -160,8 +158,8 @@ class SyntheticConfig:
     time-frequency signature evolves through end of life instead of
     saturating. Both tones vanish at onset, leaving detection purely
     impulse-driven. Channels share the fault schedule but carry
-    independent noise. Records carry the PRONOSTIA sample rate and
-    snapshot period.
+    independent noise. Like ingested records, they are sampled at the
+    PRONOSTIA rate and snapshot period.
     """
 
     n_snapshots: int = 100
@@ -244,8 +242,6 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
         hor[i] += tone
         ver[i] += tone
     return BearingRecord(horizontal=hor, vertical=ver,
-                         sample_rate_hz=PRONOSTIA_SAMPLE_RATE,
-                         snapshot_period_s=PRONOSTIA_PERIOD_S,
                          bearing_id=cfg.bearing_id)
 
 

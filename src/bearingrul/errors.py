@@ -45,14 +45,6 @@ class NegativeThreshold(ValueError, BearingRulError):
     pass
 
 
-class InvalidWindow(ValueError, BearingRulError):
-    pass
-
-
-class OrderTooHigh(ValueError, BearingRulError):
-    pass
-
-
 # --- featurization ---
 
 class InvalidRecord(ValueError, DataError):

@@ -35,13 +35,12 @@ class BearingRecord:
     """Chronological two-channel vibration snapshots from one bearing.
 
     horizontal/vertical are (n_snapshots, samples_per_snapshot) arrays;
-    every snapshot shares the sample rate and length.
+    every snapshot shares the length. Records are sampled at the PRONOSTIA
+    rate and snapshot period (dataio.PRONOSTIA_*).
     """
 
     horizontal: np.ndarray
     vertical: np.ndarray
-    sample_rate_hz: float
-    snapshot_period_s: float = 10.0
     bearing_id: str = ""
     condition_id: int = 0
 

@@ -423,10 +423,9 @@ def prepare_images(pixel_arrays, input_side: int) -> np.ndarray:
     carries subband energy, while the block maximum keeps its envelope.
     """
     x = np.asarray(np.stack(pixel_arrays), dtype=np.float64)[:, None, :, :]
-    factor = x.shape[-1] // input_side
-    if factor > 1:
-        n = x.shape[0]
-        x = x.reshape(n, 1, input_side, factor, input_side, factor).max(axis=(3, 5))
+    factor = x.shape[-1] // input_side  # 1, 2 or 4 (ModelConfig: S is 64, 32 or 16)
+    for _ in range(factor.bit_length() - 1):  # log2(factor) strided 2x2 maxes
+        _, x = ad._max_2x2(x)
     return x
 
 

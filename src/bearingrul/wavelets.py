@@ -1,8 +1,8 @@
-"""Wavelet filter banks, DWT/WPD, threshold denoising, Savitzky-Golay, kurtosis.
+"""The db5 wavelet transform, WPD, threshold denoising, Savitzky-Golay, kurtosis.
 
 The signal stage is fixed: every transform uses the 10-tap Daubechies-5
-pair DB5, denoising thresholds DENOISE_LEVELS detail levels, and smoothing
-uses the (5, 2) Savitzky-Golay kernel SAVGOL.
+pair DB5, denoising thresholds two detail levels, and smoothing uses the
+(5, 2) Savitzky-Golay weights SAVGOL.
 
 All transforms use periodized boundary extension, which keeps them exactly
 orthonormal at every even length (odd lengths are wrap-padded by one sample
@@ -11,25 +11,20 @@ The Savitzky-Golay filter uses mirror extension instead, since smoothing has
 no reconstruction requirement.
 """
 
-from dataclasses import dataclass, field
-from math import comb
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     EmptyInput,
     InvalidConfig,
-    InvalidWindow,
     LengthMismatch,
     NegativeThreshold,
-    OrderTooHigh,
     SignalTooShort,
     TooShort,
     ZeroVariance,
 )
-
-SQRT2 = np.sqrt(2.0)
-DENOISE_LEVELS = 2
 
 
 def _as_samples(x):
@@ -41,11 +36,10 @@ def _as_samples(x):
 
 
 # ---------------------------------------------------------------------------
-# Filter banks
+# The db5 filter pair
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FilterBank:
+class FilterPair(NamedTuple):
     """Orthonormal two-channel decomposition pair.
 
     lowpass sums to sqrt(2) and has unit energy; highpass is its
@@ -55,61 +49,31 @@ class FilterBank:
 
     lowpass: np.ndarray
     highpass: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        self.lowpass = np.asarray(self.lowpass, dtype=np.float64)
-        self.highpass = np.asarray(self.highpass, dtype=np.float64)
-        if abs(self.lowpass.sum() - SQRT2) > 1e-12:
-            raise ValueError(f"{self.name}: lowpass must sum to sqrt(2)")
-        if abs((self.lowpass ** 2).sum() - 1.0) > 1e-12:
-            raise ValueError(f"{self.name}: lowpass must have unit energy")
-        if not np.allclose(self.highpass, quadrature_mirror(self.lowpass),
-                           rtol=0.0, atol=1e-12):
-            raise ValueError(f"{self.name}: highpass is not the quadrature mirror")
 
 
-def quadrature_mirror(lowpass):
-    """Alternating-sign reversal: g[k] = (-1)^k h[L-1-k]."""
-    g = np.asarray(lowpass, dtype=np.float64)[::-1].copy()
-    g[1::2] *= -1.0
-    return g
-
-
-def daubechies_filters(order: int) -> FilterBank:
-    """Daubechies orthonormal filter pair with `order` vanishing moments.
-
-    Built by spectral factorization: the binomial half-band polynomial
-    P(y) = sum_k C(order-1+k, k) y^k is rooted, each y-root mapped to its
-    inside-unit-circle z-root of z^2 - (2-4y)z + 1 = 0, and the lowpass
-    assembled as (1+z)^order times the minimum-phase root product.
-    Supported for order 1..10.
-    """
-    if not 1 <= order <= 10:
-        raise ValueError("daubechies_filters supports orders 1..10")
-    poly = [comb(order - 1 + k, k) for k in range(order)]
-    yroots = np.roots(poly[::-1]) if order > 1 else np.array([])
-    h = np.array([1.0 + 0j])
-    for _ in range(order):
-        h = np.convolve(h, [1.0, 1.0])
-    for y in yroots:
-        b = 2.0 - 4.0 * y
-        disc = np.sqrt(b * b - 4.0 + 0j)
-        z = (b + disc) / 2.0
-        if abs(z) >= 1.0:
-            z = (b - disc) / 2.0
-        h = np.convolve(h, [1.0, -z])
-    h = np.real(h)
-    h *= SQRT2 / h.sum()
-    return FilterBank(lowpass=h, highpass=quadrature_mirror(h), name=f"db{order}")
-
-
-DB5 = daubechies_filters(5)
+# Daubechies' minimum-phase lowpass with 5 vanishing moments (Daubechies
+# 1988): the float64 values of its spectral factorization.
+_DB5_LOWPASS = np.array([
+    0.16010239797419293, 0.6038292697971896, 0.724308528437773,
+    0.13842814590132088, -0.242294887066382, -0.03224486958463847,
+    0.0775714938400457, -0.006241490212798271, -0.012580751999081994,
+    0.003335725285473771,
+])
+DB5 = FilterPair(_DB5_LOWPASS, _DB5_LOWPASS[::-1] * np.tile([1.0, -1.0], 5))
 
 
 # ---------------------------------------------------------------------------
-# DWT / inverse DWT
+# One DWT level and its inverse
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _taps(n: int) -> np.ndarray:
+    """Read-only (n/2, 10) map: row i holds the periodized input positions
+    (2i + k) % n that output i of an even length-n level reads at tap k."""
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(DB5.lowpass.size)[None, :]) % n
+    idx.flags.writeable = False
+    return idx
+
 
 def dwt_level(x):
     """One DB5 analysis step: periodized convolution + downsample by 2.
@@ -124,15 +88,16 @@ def dwt_level(x):
         raise SignalTooShort("dwt_level needs at least 2 samples")
     if x.size % 2:
         x = np.concatenate([x, x[:1]])
-    n = x.size
-    taps = DB5.lowpass.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    windows = x[idx]
+    windows = x[_taps(x.size)]
     return windows @ DB5.lowpass, windows @ DB5.highpass
 
 
 def idwt_level(approx, detail):
-    """Exact inverse of dwt_level (transpose of the orthonormal analysis map)."""
+    """Exact inverse of dwt_level (transpose of the orthonormal analysis map).
+
+    Scatters every tap's contribution back through the same tap table; the
+    sums run tap by tap, each over the outputs in order.
+    """
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     if approx.size != detail.size:
@@ -141,51 +106,8 @@ def idwt_level(approx, detail):
     if approx.size == 0:
         raise EmptyInput("idwt_level on empty coefficients")
     n = 2 * approx.size
-    x = np.zeros(n)
-    for k in range(DB5.lowpass.size):
-        pos = (2 * np.arange(approx.size) + k) % n
-        np.add.at(x, pos, approx * DB5.lowpass[k] + detail * DB5.highpass[k])
-    return x
-
-
-@dataclass
-class DwtCoeffs:
-    """Multi-level DWT output; details[0] is level 1 (finest).
-
-    input_lengths[L] records the pre-padding length entering level L+1,
-    which is exactly the bookkeeping idwt needs to undo wrap-padding.
-    """
-
-    approximation: np.ndarray
-    details: list
-    levels: int
-    input_lengths: list = field(default_factory=list)
-
-
-def dwt(x, levels: int) -> DwtCoeffs:
-    """Cascade dwt_level on the approximation branch `levels` times."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    a = _as_samples(x)
-    if a.size < 2 ** levels:
-        raise SignalTooShort(
-            f"need at least 2^{levels} samples, got {a.size}")
-    details, lengths = [], []
-    for _ in range(levels):
-        lengths.append(a.size)
-        a, d = dwt_level(a)
-        details.append(d)
-    return DwtCoeffs(approximation=a, details=details, levels=levels,
-                     input_lengths=lengths)
-
-
-def idwt(coeffs: DwtCoeffs):
-    """Invert dwt exactly, truncating any wrap-padding level by level."""
-    a = coeffs.approximation
-    for level in range(coeffs.levels - 1, -1, -1):
-        a = idwt_level(a, coeffs.details[level])
-        a = a[:coeffs.input_lengths[level]]
-    return a
+    contrib = np.outer(DB5.lowpass, approx) + np.outer(DB5.highpass, detail)
+    return np.bincount(_taps(n).T.ravel(), weights=contrib.ravel(), minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,58 +161,35 @@ def soft_threshold(c, t: float):
 
 
 def wavelet_denoise(x):
-    """Soft-threshold all DENOISE_LEVELS detail bands; approximation passes through.
+    """Soft-threshold both detail bands of a two-level DWT and reconstruct.
 
-    The noise scale is estimated once from the level-1 detail band and the
-    resulting universal threshold is applied to every detail level.
+    The approximation passes through. The noise scale is estimated once
+    from the level-1 detail band and the resulting universal threshold is
+    applied to both detail levels. Each level's wrap padding (odd inputs)
+    is cut off again on the way back, so the output has the input's length.
     """
     samples = _as_samples(x)
-    coeffs = dwt(samples, DENOISE_LEVELS)
-    t = universal_threshold(coeffs.details[0], samples.size)
-    coeffs.details = [soft_threshold(d, t) for d in coeffs.details]
-    return idwt(coeffs)
+    if samples.size < 4:
+        raise SignalTooShort(f"need at least 2^2 samples, got {samples.size}")
+    approx1, detail1 = dwt_level(samples)
+    approx2, detail2 = dwt_level(approx1)
+    t = universal_threshold(detail1, samples.size)
+    approx1 = idwt_level(approx2, soft_threshold(detail2, t))[:approx1.size]
+    return idwt_level(approx1, soft_threshold(detail1, t))[:samples.size]
 
 
 # ---------------------------------------------------------------------------
 # Savitzky-Golay smoothing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SavGolKernel:
-    """Centered least-squares polynomial smoothing weights."""
-
-    weights: np.ndarray
-    window: int
-    poly_order: int
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("kernel weights must sum to 1")
-        if not np.allclose(self.weights, self.weights[::-1], rtol=0.0, atol=1e-12):
-            raise ValueError("kernel must be symmetric")
+def _savgol_weights():
+    # The least-squares quadratic fit to 5 samples, read at the center, is a
+    # fixed linear map: w = A (A^T A)^{-1} e0 with A[r, j] = r^j, r = -2..2.
+    design = np.vander(np.arange(-2.0, 3.0), 3, increasing=True)
+    return design @ np.linalg.solve(design.T @ design, np.eye(3)[:, 0])
 
 
-def savgol_kernel(window: int, order: int) -> SavGolKernel:
-    """Weights of the least-squares polynomial fit evaluated at the center.
-
-    Fitting a degree-`order` polynomial to the window and reading its value
-    at the central sample is a fixed linear map: w = A (A^T A)^{-1} e0
-    with A[r, j] = r^j over offsets r = -half..half.
-    """
-    if window < 1 or window % 2 == 0:
-        raise InvalidWindow(f"window must be odd and positive, got {window}")
-    if order < 0 or order >= window:
-        raise OrderTooHigh(f"order {order} must satisfy 0 <= order < window {window}")
-    half = window // 2
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    design = np.vander(offsets, order + 1, increasing=True)
-    weights = design @ np.linalg.solve(design.T @ design,
-                                       np.eye(order + 1)[:, 0])
-    return SavGolKernel(weights=weights, window=window, poly_order=order)
-
-
-SAVGOL = savgol_kernel(5, 2)
+SAVGOL = _savgol_weights()
 
 
 def savgol_filter(x):
@@ -299,12 +198,11 @@ def savgol_filter(x):
     The output has the input's length.
     """
     samples = _as_samples(x)
-    if samples.size < SAVGOL.window:
+    if samples.size < SAVGOL.size:
         raise SignalTooShort(
-            f"signal length {samples.size} < window {SAVGOL.window}")
-    half = SAVGOL.window // 2
-    padded = np.pad(samples, half, mode="reflect")
-    return np.convolve(padded, SAVGOL.weights[::-1], mode="valid")
+            f"signal length {samples.size} < window {SAVGOL.size}")
+    padded = np.pad(samples, SAVGOL.size // 2, mode="reflect")
+    return np.convolve(padded, SAVGOL[::-1], mode="valid")
 
 
 # ---------------------------------------------------------------------------

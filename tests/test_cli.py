@@ -89,7 +89,7 @@ def test_fpt_either_reports_the_channel_that_set_the_fpt(tmp_path):
     hor = rng.normal(size=(60, 512))
     ver = rng.normal(size=(60, 512))
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
-    record = ft.BearingRecord(horizontal=hor, vertical=ver, sample_rate_hz=1.0)
+    record = ft.BearingRecord(horizontal=hor, vertical=ver)
     dataio.save_record_csvdir(record, tmp_path / "rec")
     for channel in ("either", "vertical"):
         assert run_cli("fpt", "--input", str(tmp_path / "rec"), "--outdir",
@@ -513,6 +513,16 @@ def test_non_object_dataset_sidecar_exits_three(dataset_path, checkpoint_path,
     assert err.startswith("CorruptContainer:") and "not a JSON object" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_empty_dataset_exits_three(command, checkpoint_path, tmp_path, capsys):
+    empty = dataio.save_dataset([], tmp_path / "dataset.bin")
+    out = tmp_path / "out"
+    code = run_cli(command, "--dataset", str(empty), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("EmptyDataset:")
+
+
 def test_diverging_train_exits_four_with_one_line(dataset_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("train", "--dataset", str(dataset_path), "--outdir", str(out),
@@ -573,8 +583,15 @@ def test_exit_code_numeric_error(dataset_path, tmp_path):
 
 
 def test_unknown_flag_exits_two():
-    proc = run_module("synth", "--bogus", "1")
-    assert proc.returncode == 2
+    # argparse's own errors: an unknown flag, and a missing value (argparse
+    # reads -inf as a flag, not as the value of --lr)
+    for argv in (("synth", "--bogus", "1"),
+                 ("train", "--outdir", "o", "--dataset", "d", "--lr", "-inf"),
+                 ("train", "--outdir", "o", "--dataset", "d", "--epochs")):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("UsageError: ")
 
 
 def test_help_lists_headline_defaults():

@@ -40,7 +40,7 @@ def test_load_fixture_tree_exact(tmp_path):
     assert record.samples_per_snapshot == 4
     assert record.bearing_id == "Bearing1_3"
     assert record.condition_id == 1
-    assert record.sample_rate_hz == 25600.0
+    assert dataio.PRONOSTIA_SAMPLE_RATE == 25600.0
     expected = np.array([[0.1 * (f * 10 + r) for r in range(4)]
                          for f in (1, 2, 3)])
     np.testing.assert_allclose(record.horizontal, expected, atol=0)

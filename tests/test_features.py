@@ -13,19 +13,18 @@ from bearingrul.errors import (
 )
 
 
-def make_record(horizontal, vertical=None, rate=25600.0):
+def make_record(horizontal, vertical=None):
     horizontal = np.asarray(horizontal, float)
     if vertical is None:
         vertical = horizontal + 0.25
     return ft.BearingRecord(horizontal=horizontal, vertical=vertical,
-                            sample_rate_hz=rate, bearing_id="test")
+                            bearing_id="test")
 
 
 def gaussian_record(n_snapshots, samples, seed=0):
     rng = np.random.default_rng(seed)
     return ft.BearingRecord(horizontal=rng.normal(size=(n_snapshots, samples)),
-                            vertical=rng.normal(size=(n_snapshots, samples)),
-                            sample_rate_hz=25600.0)
+                            vertical=rng.normal(size=(n_snapshots, samples)))
 
 
 # --- sliding windows ---
@@ -82,7 +81,7 @@ def test_kurtosis_series_channel_selection():
     rng = np.random.default_rng(3)
     hor = rng.normal(size=(5, 256))
     ver = np.tile(np.tile([1.0, -1.0], 128), (5, 1))
-    record = ft.BearingRecord(horizontal=hor, vertical=ver, sample_rate_hz=1.0)
+    record = ft.BearingRecord(horizontal=hor, vertical=ver)
     np.testing.assert_allclose(ft.kurtosis_series(record, "vertical"),
                                np.ones(5), atol=1e-12)
 
@@ -152,7 +151,7 @@ def test_detect_fpt_record_either_channel():
     ver = rng.normal(size=(60, 512))
     ver[30:] *= 1.0
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
-    record = ft.BearingRecord(horizontal=hor, vertical=ver, sample_rate_hz=1.0)
+    record = ft.BearingRecord(horizontal=hor, vertical=ver)
     cfg = ft.FptConfig(baseline_count=12, channel_policy="either")
     fpt, channel = ft.detect_fpt_record(record, cfg)
     assert fpt is not None and 28 <= fpt <= 33

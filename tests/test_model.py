@@ -305,6 +305,12 @@ def test_prepare_images_block_max():
     assert out.shape == (1, 1, 32, 32)
     assert out[0, 0, 0, 0] == 1.0
     assert out.sum() == 1.0
+    imgs = np.random.default_rng(11).random((3, 64, 64)).astype(np.float32)
+    for side in (16, 32):
+        f = 64 // side
+        blocks = imgs.astype(np.float64).reshape(3, side, f, side, f)
+        assert np.array_equal(md.prepare_images(list(imgs), side)[:, 0],
+                              blocks.max(axis=(2, 4)))
 
 
 def test_prepare_images_native_side_passthrough():

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from bearingrul import wavelets as wv
+from dwt_cascade import dwt, idwt
 from bearingrul.errors import (
     EmptyInput,
-    InvalidWindow,
     LengthMismatch,
     NegativeThreshold,
-    OrderTooHigh,
     SignalTooShort,
     TooShort,
     ZeroVariance,
@@ -15,7 +14,7 @@ from bearingrul.errors import (
 
 SQRT2 = np.sqrt(2.0)
 
-# published db5 decomposition lowpass (independent of our factorization code)
+# published db5 decomposition lowpass (independent of the literal in wavelets)
 DB5_LOWPASS = np.array([
     0.160102397974193, 0.603829269797189, 0.724308528437772,
     0.138428145901320, -0.242294887066382, -0.032244869584638,
@@ -48,21 +47,11 @@ def test_db5_highpass_is_quadrature_mirror():
     np.testing.assert_allclose(fb.highpass, expected, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("order", range(1, 11))
-def test_daubechies_family_invariants(order):
-    fb = wv.daubechies_filters(order)
-    assert fb.lowpass.size == 2 * order
-    assert abs(fb.lowpass.sum() - SQRT2) <= 1e-12
-    assert abs((fb.lowpass ** 2).sum() - 1.0) <= 1e-12
-    # orthonormality at even shifts
-    h = fb.lowpass
-    for m in range(1, order):
+def test_db5_even_shift_orthonormal():
+    h = wv.DB5.lowpass
+    assert h.size == 10
+    for m in range(1, 5):
         assert abs(np.dot(h[: -2 * m], h[2 * m:])) <= 1e-12
-
-
-def test_daubechies_order_out_of_range():
-    with pytest.raises(ValueError):
-        wv.daubechies_filters(11)
 
 
 # --- single-level DWT ---
@@ -100,6 +89,24 @@ def test_idwt_zeros_gives_zeros():
     assert np.abs(out).max() == 0.0
 
 
+def idwt_level_per_tap(approx, detail):
+    # the scatter idwt_level replaced: one np.add.at per filter tap
+    n = 2 * approx.size
+    x = np.zeros(n)
+    for k in range(wv.DB5.lowpass.size):
+        pos = (2 * np.arange(approx.size) + k) % n
+        np.add.at(x, pos, approx * wv.DB5.lowpass[k] + detail * wv.DB5.highpass[k])
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 66, 2560])
+def test_idwt_matches_per_tap_scatter(n):
+    rng = np.random.default_rng(n)
+    approx, detail = rng.normal(size=(2, n // 2))
+    assert np.array_equal(wv.idwt_level(approx, detail),
+                          idwt_level_per_tap(approx, detail))
+
+
 @pytest.mark.parametrize("n", [2, 8, 10, 33, 64, 100, 255, 1024, 4095, 4096])
 def test_perfect_reconstruction_single_level(n):
     x = np.random.default_rng(n).normal(size=n)
@@ -113,20 +120,20 @@ def test_perfect_reconstruction_multilevel(levels):
     rng = np.random.default_rng(levels)
     for n in (64, 100, 1000, 4096):
         x = rng.normal(size=n)
-        coeffs = wv.dwt(x, levels)
-        assert coeffs.levels == levels
-        np.testing.assert_allclose(wv.idwt(coeffs), x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(idwt(*dwt(x, levels)), x, rtol=0, atol=1e-10)
 
 
 def test_dwt_coefficient_lengths():
-    coeffs = wv.dwt(np.random.default_rng(0).normal(size=100), 3)
-    assert [d.size for d in coeffs.details] == [50, 25, 13]
-    assert coeffs.approximation.size == 13
+    approx, details, _ = dwt(np.random.default_rng(0).normal(size=100), 3)
+    assert [d.size for d in details] == [50, 25, 13]
+    assert approx.size == 13
 
 
 def test_dwt_too_short():
     with pytest.raises(SignalTooShort):
-        wv.dwt(np.ones(4), 3)
+        wv.dwt_level(np.ones(1))
+    with pytest.raises(SignalTooShort):
+        wv.wavelet_denoise(np.ones(3))
 
 
 # --- wavelet packets ---
@@ -259,6 +266,15 @@ def test_denoise_preserves_length(n):
     assert wv.wavelet_denoise(x).size == n
 
 
+@pytest.mark.parametrize("n", [4, 5, 65, 100, 257, 2560])
+def test_denoise_matches_two_level_cascade(n):
+    x = np.random.default_rng(n).normal(size=n)
+    approx, details, lengths = dwt(x, 2)
+    t = np.median(np.abs(details[0])) / 0.6745 * np.sqrt(2.0 * np.log(n))
+    shrunk = [np.sign(d) * np.maximum(np.abs(d) - t, 0.0) for d in details]
+    assert np.array_equal(wv.wavelet_denoise(x), idwt(approx, shrunk, lengths))
+
+
 # --- Savitzky-Golay ---
 
 def savgol_weights_oracle(window, order):
@@ -271,28 +287,16 @@ def savgol_weights_oracle(window, order):
 
 
 def test_savgol_kernel_matches_known_values():
-    k = wv.savgol_kernel(5, 2)
     np.testing.assert_allclose(
-        k.weights, np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0, atol=1e-12)
+        wv.SAVGOL, np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("window,order", [(5, 2), (7, 2), (9, 4), (11, 3)])
-def test_savgol_kernel_matches_lstsq_oracle(window, order):
-    k = wv.savgol_kernel(window, order)
-    np.testing.assert_allclose(k.weights, savgol_weights_oracle(window, order),
-                               atol=1e-12)
+def test_savgol_kernel_matches_lstsq_oracle():
+    np.testing.assert_allclose(wv.SAVGOL, savgol_weights_oracle(5, 2), atol=1e-12)
 
 
 def test_savgol_kernel_sums_to_one():
-    for window, order in ((5, 2), (9, 3)):
-        assert abs(wv.savgol_kernel(window, order).weights.sum() - 1.0) <= 1e-12
-
-
-def test_savgol_kernel_bad_args():
-    with pytest.raises(InvalidWindow):
-        wv.savgol_kernel(4, 2)
-    with pytest.raises(OrderTooHigh):
-        wv.savgol_kernel(5, 5)
+    assert abs(wv.SAVGOL.sum() - 1.0) <= 1e-12
 
 
 def test_savgol_filter_constant():
