@@ -110,13 +110,23 @@ def test_load_semicolon_delimited(tmp_path):
 
 
 def test_record_csv_roundtrip(tmp_path):
-    cfg = dataio.SyntheticConfig(n_snapshots=3, samples_per_snapshot=64,
-                                 fault_onset_index=1, seed=4)
-    record = dataio.gen_synthetic(cfg)
-    dataio.save_record_csvdir(record, tmp_path / "Bearing9_9")
-    back = dataio.load_pronostia_bearing(tmp_path / "Bearing9_9")
-    np.testing.assert_allclose(back.horizontal, record.horizontal, atol=0)
-    np.testing.assert_allclose(back.vertical, record.vertical, atol=0)
+    """Written and re-read bit for bit, -0.0 and subnormals included, for
+    the written comma folder and a `;`-delimited copy of it."""
+    for n, m in ((3, 64), (4, 2560)):
+        cfg = dataio.SyntheticConfig(n_snapshots=n, samples_per_snapshot=m,
+                                     fault_onset_index=1, seed=4)
+        record = dataio.gen_synthetic(cfg)
+        record.horizontal[0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
+        record.vertical[-1, -2:] = (-0.0, 2.2250738585072014e-308)
+        comma = tmp_path / f"Bearing9_{m}"
+        semi = tmp_path / f"semicolon_{m}" / comma.name
+        semi.mkdir(parents=True)
+        for path in dataio.save_record_csvdir(record, comma):
+            (semi / path.name).write_text(path.read_text().replace(",", ";"))
+        for folder in (comma, semi):
+            back = dataio.load_pronostia_bearing(folder)
+            assert back.horizontal.tobytes() == record.horizontal.tobytes()
+            assert back.vertical.tobytes() == record.vertical.tobytes()
 
 
 # --- synthetic generation ---
