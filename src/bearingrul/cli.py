@@ -16,6 +16,7 @@ name. On failure the process exits 2 (usage), 3 (data error) or 4
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -355,7 +356,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"UsageError: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it as is."""
     parser = _Parser(
         prog="bearingrul",
         description="Bearing RUL pipeline: synthesize or ingest vibration "
@@ -507,7 +510,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BearingRulError as exc:

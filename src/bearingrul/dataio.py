@@ -25,10 +25,12 @@ blob holds exactly P finite values; anything else is a CorruptContainer.
 Both containers round-trip bit-exactly.
 """
 
+import io
 import json
 import math
 import re
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +73,8 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     Files are ordered by their numeric suffix regardless of on-disk order.
     Default column layout follows the public distribution: four timestamp
     fields, then horizontal and vertical acceleration; pass hor_col/ver_col
-    for variant exports. Temperature files are ignored.
+    for variant exports. Temperature files are ignored. Files must be
+    UTF-8; `,` and `;` delimiters are both read (see _parse_acc_csv).
     """
     root = Path(directory)
     if not root.is_dir():
@@ -94,21 +97,61 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
                          condition_id=int(m.group(1)) if m else 0)
 
 
+# Bytes that send a file to the line parser: `;`, because that parser picks
+# each line's delimiter by count, and the separators 0x1C-0x1F, which
+# numpy's float reader strips as whitespace around a field but float()
+# rejects.
+_LINE_PARSER_ONLY = (b";", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
-    hor, ver = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            delim = ";" if line.count(";") > line.count(",") else ","
-            parts = line.split(delim)
+    """One snapshot file's horizontal and vertical columns.
+
+    The file is read once. Comma files go through numpy's C reader; a `;`
+    anywhere, or a file that reader rejects, warns about or finds empty,
+    goes through the line parser, which gives the same values and owns
+    the MalformedRow diagnostics.
+    """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedRow(f"{path}:{line}: not UTF-8: {exc.reason}",
+                           path=str(path), line=line) from None
+    if not any(c in raw for c in _LINE_PARSER_ONLY):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
-                hor.append(float(parts[hor_col]))
-                ver.append(float(parts[ver_col]))
-            except (ValueError, IndexError) as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}",
-                                   path=str(path), line=lineno) from exc
+                cols = np.loadtxt(io.StringIO(text), delimiter=",",
+                                  usecols=(hor_col, ver_col), comments=None,
+                                  ndmin=2)
+            except (ValueError, Warning):
+                cols = ()
+        if len(cols):
+            return cols[:, 0], cols[:, 1]
+    return _parse_acc_lines(path, io.StringIO(text, newline=None),
+                            hor_col, ver_col)
+
+
+def _parse_acc_lines(path: Path, lines, hor_col: int, ver_col: int):
+    """The line parser: each line's delimiter is `;` if it holds more `;`
+    than `,`, blank lines are skipped, and the first bad line raises
+    MalformedRow with its 1-based number (0 for a file without rows)."""
+    hor, ver = [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        delim = ";" if line.count(";") > line.count(",") else ","
+        parts = line.split(delim)
+        try:
+            hor.append(float(parts[hor_col]))
+            ver.append(float(parts[ver_col]))
+        except (ValueError, IndexError) as exc:
+            raise MalformedRow(f"{path}:{lineno}: {exc}",
+                               path=str(path), line=lineno) from exc
     if not hor:
         raise MalformedRow(f"{path}: no data rows", path=str(path), line=0)
     return np.array(hor), np.array(ver)

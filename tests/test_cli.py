@@ -473,6 +473,38 @@ def test_config_file_and_manifest_values_are_checked(argv, values, message,
     assert not out.exists()
 
 
+def _non_utf8_csv(tmp_path, record_dir):
+    bad = tmp_path / "Bearing9_1"
+    shutil.copytree(record_dir, bad)
+    csv = bad / "acc_00004.csv"
+    lines = csv.read_bytes().split(b"\n")
+    lines[6] = lines[6].replace(b",", b",\xff", 1)
+    csv.write_bytes(b"\n".join(lines))
+    return ["ingest", "--input", str(bad)], f"MalformedRow: {csv}:7: not UTF-8"
+
+
+def _non_utf8_config(tmp_path, record_dir):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"epochs": 2, "loss": "m\xffe"}')
+    return ["train", "--config", str(path)], "UnicodeDecodeError: "
+
+
+def _non_utf8_manifest(tmp_path, record_dir):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"command": "ingest", "config": {"input": "\xff"}}')
+    return ["rerun", str(path)], "UnicodeDecodeError: "
+
+
+@pytest.mark.parametrize("source", [_non_utf8_csv, _non_utf8_config,
+                                    _non_utf8_manifest])
+def test_non_utf8_input_exits_three(source, record_dir, tmp_path, capsys):
+    argv, start = source(tmp_path, record_dir)
+    out = tmp_path / "out"
+    err = _assert_one_line_failure(
+        capsys, run_cli(*argv, "--outdir", str(out)), 3, out)
+    assert err.startswith(start)
+
+
 FLOAT_FLAGS = [(command, flag.name) for command, spec in cli.COMMANDS.items()
                for flag in spec.flags if flag.kind is float]
 
@@ -592,6 +624,14 @@ def test_unknown_flag_exits_two():
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("UsageError: ")
+
+
+def test_parser_is_built_once_and_keeps_no_values():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["train", "--outdir", "o", "--epochs", "3"])
+    second = parser.parse_args(["train", "--outdir", "o"])
+    assert (first.epochs, second.epochs) == (3, None)
 
 
 def test_help_lists_headline_defaults():

@@ -1,4 +1,6 @@
+import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,108 @@ def test_record_csv_roundtrip(tmp_path):
             back = dataio.load_pronostia_bearing(folder)
             assert back.horizontal.tobytes() == record.horizontal.tobytes()
             assert back.vertical.tobytes() == record.vertical.tobytes()
+
+
+# --- numpy fast path against the line parser ---
+
+LINE_PARSER = dataio._parse_acc_lines
+
+
+def _outcome(parse):
+    """Both columns' bytes (so NaN payloads and -0.0 count), or the error."""
+    try:
+        hor, ver = parse()
+    except MalformedRow as exc:
+        return "MalformedRow", exc.line
+    return hor.tobytes(), ver.tobytes()
+
+
+def _fast_and_oracle(path, hor_col=4, ver_col=5):
+    """_parse_acc_csv's outcome, and the line parser's on the file as text."""
+    def oracle():
+        with open(path, encoding="utf-8") as fh:
+            return LINE_PARSER(path, fh, hor_col, ver_col)
+
+    return (_outcome(lambda: dataio._parse_acc_csv(path, hor_col, ver_col)),
+            _outcome(oracle))
+
+
+ODD_FIELDS = ("-0.0", "0", "-0", "nan", "-nan", "inf", "-Infinity", "1e999",
+              "5e-324", "+2", ".5", "5.", " 3 ", "\t7", "　4", "\x0c6",
+              "2\x1c", "\x1f2", "8\x00", "#9", "1_0", "１２", "0x10",
+              "", "abc", '"2"', "1 2")
+
+
+def _fuzz_file(rng):
+    """An acc CSV's text: float rows with odd fields, rows and line endings."""
+    ncols = rng.choice((2, 6, 6, 7))
+    lines = []
+    for _ in range(rng.choice((0, 1, 2, 3, 5))):
+        fields = [repr(rng.uniform(-9, 9)) for _ in range(ncols)]
+        if rng.random() < 0.1:
+            fields = fields[:rng.randint(1, ncols)]
+        if rng.random() < 0.4:
+            fields[rng.randrange(len(fields))] = rng.choice(ODD_FIELDS)
+        line = ("," if rng.random() < 0.95 else ";").join(fields)
+        lines.append(rng.choice((line,) * 8 + ("", " \t", f"  {line} ")))
+    ending = rng.choice(("\n", "\n", "\r\n", "\r"))
+    return ending.join(lines) + ending * (rng.random() < 0.8)
+
+
+def test_fast_path_matches_line_parser_on_a_seeded_corpus(tmp_path, monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(dataio, "_parse_acc_lines",
+                        lambda *a: fallbacks.append(a) or LINE_PARSER(*a))
+    rng = random.Random(8)
+    n_files, n_fast = 1000, 0
+    for i in range(n_files):
+        path = tmp_path / f"acc_{i}.csv"
+        path.write_text(_fuzz_file(rng), encoding="utf-8", newline="")
+        cols = rng.choice(((4, 5), (4, 5), (0, 1), (-2, -1), (5, 5), (9, 10)))
+        before = len(fallbacks)
+        fast, oracle = _fast_and_oracle(path, *cols)
+        assert fast == oracle, (path.read_bytes(), cols)
+        n_fast += len(fallbacks) == before
+    # the comparison means something only if both paths saw many files
+    assert n_fast >= 200 and n_files - n_fast >= 200
+
+
+@pytest.mark.parametrize("text,cols,expected", [
+    # numpy reads (1, 2) with `,`; the line parser splits this line at `;`
+    (";;;;;;0,0,0,0,1,2\n", (4, 5), ("MalformedRow", 1)),
+    # numpy warns "input contained no data" and returns no rows
+    ("\n\n", (4, 5), ("MalformedRow", 0)),
+    # numpy strips 0x1C as whitespace; float() rejects it
+    ("0,0,0,0,2\x1c,1\n", (4, 5), ("MalformedRow", 1)),
+    ("0,0,0,0,1.5,-2\r0,0,0,0,-0.0,4\r", (4, 5), ([1.5, -0.0], [-2.0, 4.0])),
+    ("0,0,0,0,1.5,-2\r\n0,0,0,0,-0.0,4\r\n", (4, 5), ([1.5, -0.0], [-2.0, 4.0])),
+    ("0,0,0,0,1e-3,-nan", (4, 5), ([1e-3], [-float("nan")])),
+    ("0,0,0,0,1,2,3,4\n0,0,0,0,5,6,7,8\n", (4, 5), ([1.0, 5.0], [2.0, 6.0])),
+    ("1,2,3\n4,5,6\n", (-2, -1), ([2.0, 5.0], [3.0, 6.0])),
+], ids=["semicolon-line", "blank-lines-only", "unit-separator", "cr", "crlf",
+        "single-row", "extra-columns", "negative-columns"])
+def test_fast_path_explicit_cases(tmp_path, text, cols, expected):
+    path = tmp_path / "acc_00001.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast, oracle = _fast_and_oracle(path, *cols)
+    assert caught == []
+    if expected[0] != "MalformedRow":
+        expected = tuple(np.array(c).tobytes() for c in expected)
+    assert fast == oracle == expected
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_is_a_malformed_row_on_its_line(tmp_path, ending):
+    bearing = write_fixture_tree(tmp_path)
+    csv = bearing / "acc_00002.csv"
+    lines = ["0,0,0,0,1.5,2.5", "", "0,0,0,0,é,1", "0,0,0,0,\xff,2.5"]
+    csv.write_bytes(ending.join(lines).encode("latin-1") + b"\n")
+    with pytest.raises(MalformedRow) as excinfo:
+        dataio.load_pronostia_bearing(bearing)
+    assert excinfo.value.path == str(csv) and excinfo.value.line == 3
+    assert str(excinfo.value).startswith(f"{csv}:3: not UTF-8")
 
 
 # --- synthetic generation ---
