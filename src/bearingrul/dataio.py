@@ -127,7 +127,7 @@ def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
                 cols = np.loadtxt(io.StringIO(text), delimiter=",",
                                   usecols=(hor_col, ver_col), comments=None,
                                   ndmin=2)
-            except (ValueError, Warning):
+            except (ValueError, OverflowError, Warning):
                 cols = ()
         if len(cols):
             return cols[:, 0], cols[:, 1]

@@ -145,7 +145,7 @@ def _outcome(parse):
     return hor.tobytes(), ver.tobytes()
 
 
-def _fast_and_oracle(path, hor_col=4, ver_col=5):
+def _fast_and_oracle(path, hor_col, ver_col):
     """_parse_acc_csv's outcome, and the line parser's on the file as text."""
     def oracle():
         with open(path, encoding="utf-8") as fh:
@@ -207,8 +207,10 @@ def test_fast_path_matches_line_parser_on_a_seeded_corpus(tmp_path, monkeypatch)
     ("0,0,0,0,1e-3,-nan", (4, 5), ([1e-3], [-float("nan")])),
     ("0,0,0,0,1,2,3,4\n0,0,0,0,5,6,7,8\n", (4, 5), ([1.0, 5.0], [2.0, 6.0])),
     ("1,2,3\n4,5,6\n", (-2, -1), ([2.0, 5.0], [3.0, 6.0])),
+    # numpy raises OverflowError for a column index beyond a C long
+    ("0,0,0,0,1,2\n", (10**20, 5), ("MalformedRow", 1)),
 ], ids=["semicolon-line", "blank-lines-only", "unit-separator", "cr", "crlf",
-        "single-row", "extra-columns", "negative-columns"])
+        "single-row", "extra-columns", "negative-columns", "huge-column"])
 def test_fast_path_explicit_cases(tmp_path, text, cols, expected):
     path = tmp_path / "acc_00001.csv"
     path.write_text(text, encoding="utf-8", newline="")
