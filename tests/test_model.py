@@ -331,6 +331,27 @@ def test_predict_batch_matches_forward(desk):
     np.testing.assert_allclose(preds, singles, atol=1e-12)
 
 
+def test_predict_batch_chunks_of_16_match_chunks_of_64():
+    """The default chunk of 16 gives the bits that chunks of 64 gave.
+
+    Not every chunk size does: with OpenBLAS, chunks of 1, 3 or 33 move
+    the last bit of some predictions.
+    """
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=7)
+    params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
+    from bearingrul.features import LabeledSample, wpd_image
+    rng = np.random.default_rng(15)
+    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
+                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
+               for _ in range(37)]
+    preds = md.predict_batch(params, cfg, samples)
+    assert np.unique(preds).size == len(samples)
+    for size in (64, 32, 20):
+        chunked = md.predict_batch(params, cfg, samples, batch_size=size)
+        assert chunked.tobytes() == preds.tobytes()
+
+
 def test_predict_batch_records_no_graph(desk, monkeypatch):
     cfg, params = desk
     from bearingrul.features import LabeledSample, wpd_image
