@@ -8,7 +8,8 @@ no explicit clearing is needed; inside `with no_grad():` nothing is
 recorded, so an inference pass keeps no closures or inputs alive.
 Broadcasting is supported for the elementwise ops (gradients are summed
 back over broadcast axes); matmul requires explicit shapes beyond the
-weight-matrix and equal-batch cases.
+weight-matrix and equal-batch cases. linear(x, w, b) is x @ w + b as one
+graph node, with the bias added in place.
 """
 
 import numpy as np
@@ -75,6 +76,18 @@ def _result(data, parents, vjp) -> Tensor:
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+def _keep(mask, x):
+    """np.where(mask, x, 0.0) bit for bit, without a data-dependent branch.
+
+    ANDs the float64 bit pattern of `x` (which may broadcast against `mask`)
+    with -mask as uint64 (all ones where set, zero elsewhere), so set places
+    keep x exactly (NaN, inf and -0.0 included) and the rest read +0.0.
+    """
+    bits = np.negative(mask, dtype=np.uint64)
+    np.bitwise_and(bits, x.view(np.uint64), out=bits)
+    return bits.view(np.float64)
 
 
 def _unbroadcast(grad, shape):
@@ -153,8 +166,7 @@ def mul(a, b):
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,),
-                   lambda g: (np.where(mask, g, 0.0),))
+    return _result(_keep(mask, a.data), (a,), lambda g: (_keep(mask, g),))
 
 
 def square(a):
@@ -162,9 +174,7 @@ def square(a):
     return _result(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
 
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
+def _check_matmul(ad, bd):
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeMismatch("matmul operands must be at least 2-D")
     if ad.shape[-1] != bd.shape[-2]:
@@ -172,18 +182,48 @@ def matmul(a, b):
     if ad.ndim == bd.ndim:
         if ad.shape[:-2] != bd.shape[:-2]:
             raise ShapeMismatch(f"matmul batch dims differ: {ad.shape} @ {bd.shape}")
-
-        def vjp(g):
-            return (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
-    elif bd.ndim == 2:
-        def vjp(g):
-            da = g @ bd.T
-            db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return (da, db)
-    else:
+    elif bd.ndim != 2:
         raise ShapeMismatch(
             f"unsupported matmul shapes {ad.shape} @ {bd.shape}")
+
+
+def _weight_vjp(ad, bd, g):
+    """(dA, dW) of A @ W for a 2-D weight W and A of any rank >= 2."""
+    return (g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+
+def matmul(a, b):
+    a, b = _wrap(a), _wrap(b)
+    ad, bd = a.data, b.data
+    _check_matmul(ad, bd)
+    if ad.ndim == bd.ndim:
+        def vjp(g):
+            return (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
+    else:
+        def vjp(g):
+            return _weight_vjp(ad, bd, g)
     return _result(ad @ bd, (a, b), vjp)
+
+
+def linear(x, w, b):
+    """x @ w + b for a (K, N) weight and an (N,) bias, as one graph node.
+
+    Bit for bit add(matmul(x, w), b), forward and backward, without the
+    second (..., N) array: the bias is added to the product in place.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    xd, wd = x.data, w.data
+    _check_matmul(xd, wd)
+    if wd.ndim != 2 or b.data.shape != wd.shape[1:]:
+        raise ShapeMismatch(f"linear needs a (K, N) weight and an (N,) bias, "
+                            f"got {wd.shape} and {b.data.shape}")
+    out = xd @ wd
+    out += b.data
+
+    def vjp(g):
+        return (*_weight_vjp(xd, wd, g), _unbroadcast(g, b.data.shape))
+
+    return _result(out, (x, w, b), vjp)
 
 
 def reshape(a, shape):
@@ -269,9 +309,10 @@ def layer_norm(a, gamma, beta):
     """Normalize over the last axis, then scale and shift."""
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    xhat = a.data - mu  # centred once; numpy's var() would centre again
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / a.data.shape[-1]
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (a.data - mu) * inv
+    xhat *= inv
     sum_axes = tuple(range(a.data.ndim - 1))
 
     def vjp(g):
@@ -375,8 +416,8 @@ def maxpool2d(x):
             later = hit[..., i, :, j]
             later &= free
             free &= ~later
-        # np.where, not g * hit, which would write -0.0 beside a negative g
-        dx = np.where(hit, g[:, :, :, None, :, None], 0.0)
+        # _keep, not g * hit, which would write -0.0 beside a negative g
+        dx = _keep(hit, g[:, :, :, None, :, None])
         return (dx.reshape(n, c, h, w),)
 
     return _result(out, (x,), vjp)

@@ -99,15 +99,20 @@ def _record_summary(record) -> dict:
     }
 
 
+def _load_record(cfg):
+    """The --input record, read from its --hor-col and --ver-col columns."""
+    return dataio.load_pronostia_bearing(cfg["input"], hor_col=cfg["hor_col"],
+                                         ver_col=cfg["ver_col"])
+
+
 def cmd_ingest(cfg, out: Path):
-    record = dataio.load_pronostia_bearing(cfg["input"], hor_col=cfg["hor_col"],
-                                           ver_col=cfg["ver_col"])
+    record = _load_record(cfg)
     _write_json(out / "record_summary.json", _record_summary(record))
     return [cfg["input"]]
 
 
 def cmd_fpt(cfg, out: Path):
-    record = dataio.load_pronostia_bearing(cfg["input"])
+    record = _load_record(cfg)
     if cfg["denoise"]:
         record = features.preprocess_record(record)
     fcfg = features.FptConfig(baseline_count=cfg["baseline"],
@@ -135,7 +140,7 @@ def cmd_fpt(cfg, out: Path):
 
 
 def cmd_featurize(cfg, out: Path):
-    record = dataio.load_pronostia_bearing(cfg["input"])
+    record = _load_record(cfg)
     if cfg["fpt"] == "auto":
         fpt, _ = features.detect_fpt_record(
             record, features.FptConfig(baseline_count=cfg["baseline"]))
@@ -277,6 +282,8 @@ def _key(flag: Flag) -> str:
 
 _DATASET = _needs("dataset", "dataset container path")
 _CHECKPOINT = _needs("checkpoint", "checkpoint path")
+_HOR_COL = Flag("hor-col", int, 4, "horizontal acceleration column index")
+_VER_COL = Flag("ver-col", int, 5, "vertical acceleration column index")
 _PRESET = Flag("preset", str, "desk", "model preset: desk or paper")
 _LAM = Flag("lam", float, 1.0, "late-prediction penalty weight (lambda)")
 _SPLIT = "in [0, 0.5]; the held-out share is 1/round(1/f)"
@@ -299,11 +306,10 @@ COMMANDS = {
     "ingest": Command(cmd_ingest, "load a PRONOSTIA-style bearing folder and "
                       "summarize it", (
         _needs("input", "bearing directory of acc_*.csv files"),
-        Flag("hor-col", int, 4, "horizontal acceleration column index"),
-        Flag("ver-col", int, 5, "vertical acceleration column index"),
+        _HOR_COL, _VER_COL,
     )),
     "fpt": Command(cmd_fpt, "kurtosis series and degradation-onset report", (
-        _needs("input", "bearing directory"),
+        _needs("input", "bearing directory"), _HOR_COL, _VER_COL,
         Flag("channel", str, "horizontal", "horizontal, vertical or either"),
         Flag("baseline", int, None, "healthy baseline snapshot count"),
         Flag("sigma", float, 3.0, "band width in baseline sigmas"),
@@ -312,7 +318,7 @@ COMMANDS = {
     )),
     "featurize": Command(cmd_featurize, "build a labeled dataset from a bearing "
                          "record", (
-        _needs("input", "bearing directory"),
+        _needs("input", "bearing directory"), _HOR_COL, _VER_COL,
         Flag("fpt", str, "auto", "onset index or 'auto'"),
         Flag("window", int, 10, "snapshots per window"),
         Flag("stride", int, 5, "window stride in snapshots"),

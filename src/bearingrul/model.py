@@ -315,7 +315,7 @@ def _unpartition(x: Tensor, n: int, side: int, window: int, dim: int) -> Tensor:
 
 
 def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return ad.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -116,17 +116,19 @@ def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tens
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 16384  # elements per pass of adam_step; 6 blocks of it stay in cache
 
 
 class AdamState:
     """Moment vectors aligned with the parameter vector, the step count, and
-    two scratch vectors that each update reuses instead of allocating."""
+    two block-sized scratch vectors that each update reuses instead of
+    allocating."""
 
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.scratch = np.empty((2, size))
+        self.scratch = np.empty((2, min(size, ADAM_BLOCK)))
 
 
 def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -136,27 +138,34 @@ def adam_step(flat: np.ndarray, grad: np.ndarray, state: AdamState,
     m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
     flat -= lr (m / c1) / (sqrt(v / c2) + eps) with c_i = 1 - b_i^t,
     each product and quotient rounded in that order; b1, b2 and eps are
-    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. The update runs over blocks of
+    ADAM_BLOCK elements, so the six vectors it touches stay in cache
+    between its 14 passes; every element sees the same operations.
     """
-    if grad.shape != flat.shape:
-        raise ShapeMismatch(f"grad {grad.shape} vs params {flat.shape}")
+    if grad.shape != flat.shape or flat.ndim != 1:
+        raise ShapeMismatch(f"grad {grad.shape} vs params {flat.shape}, "
+                            "both 1-D and equal")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m, v, (tmp, step) = state.m, state.v, state.scratch
-    np.multiply(grad, 1.0 - b1, out=tmp)
-    m *= b1
-    m += tmp
-    np.multiply(grad, 1.0 - b2, out=tmp)
-    tmp *= grad
-    v *= b2
-    v += tmp
-    np.divide(m, 1.0 - b1 ** state.t, out=step)
-    step *= cfg.learning_rate
-    np.divide(v, 1.0 - b2 ** state.t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    step /= tmp
-    flat -= step
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for lo in range(0, flat.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, flat.size)
+        p, g, m, v = flat[lo:hi], grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        tmp, step = state.scratch[:, :hi - lo]
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(m, c1, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        p -= step
     return state
 
 
@@ -201,6 +210,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=train_cfg.seed, spawn_key=(1,)))
     state = AdamState(params.flat.size)
+    grad = np.empty_like(params.flat)
     history = []
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -218,7 +228,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
             params.zero_grad()
             ad.backward(loss)
-            adam_step(params.flat, _flat_grad(params), state, train_cfg)
+            adam_step(params.flat, _flat_grad(params, grad), state, train_cfg)
             loss_sum += value * idx.size
             n_seen += idx.size
             step += 1
@@ -233,12 +243,15 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     return params, history
 
 
-def _flat_grad(params: model_mod.ModelParams) -> np.ndarray:
-    """Leaf gradients concatenated in the order of params.flat."""
+def _flat_grad(params: model_mod.ModelParams,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Leaf gradients concatenated in the order of params.flat, into `out`
+    when given (a vector of params.flat's size) or else a new vector."""
     for name, tensor in params.tensors.items():
         if tensor.grad is None:
             raise ConfigMismatch(f"{name} received no gradient")
-    return np.concatenate([t.grad for t in params.tensors.values()], axis=None)
+    return np.concatenate([t.grad for t in params.tensors.values()], axis=None,
+                          out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,146 @@ def test_relu_commutes_with_maxpool_bit_for_bit():
     _assert_same_bits(dx_a, dx_b)
 
 
+# --- rewritten kernels, bit for bit against the formulas they replaced ---
+
+def _same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+SPECIAL = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                    2.2e-308, -1e-310, 1.5, -2.5, 1.797e308, -1.797e308])
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0ABC, 0xFFF0_0000_0000_0001],
+                       dtype=np.uint64).view(np.float64)
+
+
+def _special_values(rng, shape):
+    """Random picks of NaNs (payloads included), infinities, signed zeros,
+    subnormals and normals."""
+    pool = np.concatenate([SPECIAL, NAN_PAYLOAD, rng.normal(size=8)])
+    return pool[rng.integers(0, pool.size, size=shape)]
+
+
+def test_keep_is_where_bit_for_bit_on_every_layout():
+    rng = np.random.default_rng(31)
+    mask = rng.random((3, 4, 6, 5)) < 0.5
+    base = _special_values(rng, (3, 6, 5, 4))
+    row = _special_values(rng, (3, 4, 1, 5))
+    for x in (base.transpose(0, 3, 1, 2).copy(),           # contiguous
+              base.transpose(0, 3, 1, 2),                  # channels-last
+              np.broadcast_to(row, mask.shape),            # stride 0
+              row):                                        # broadcast by _keep
+        got = ad._keep(mask, x)
+        want = np.where(mask, x, 0.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not ad._keep(mask, base.transpose(0, 3, 1, 2))[~mask].view(np.uint64).any()
+
+
+def test_relu_matches_where_formula_bit_for_bit():
+    rng = np.random.default_rng(32)
+    x = _special_values(rng, (4, 7, 9))
+    g = _special_values(rng, (4, 7, 9))
+    for data, grad in ((x, g), (x.transpose(2, 0, 1), g.transpose(2, 0, 1))):
+        out = ad.relu(t(data))
+        _same_bytes(out.data, np.where(data > 0, data, 0.0))
+        (dx,) = out._vjp(grad)
+        _same_bytes(dx, np.where(data > 0, grad, 0.0))
+
+
+def _maxpool_where_oracle(x, g):
+    """The pool's first-hit routing, written with np.where as it was."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2)
+    out = np.maximum(np.maximum(win[..., 0, :, 0], win[..., 0, :, 1]),
+                     np.maximum(win[..., 1, :, 0], win[..., 1, :, 1]))
+    hit = win == out[:, :, :, None, :, None]
+    free = ~hit[..., 0, :, 0]
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        later = hit[..., i, :, j]
+        later &= free
+        free &= ~later
+    dx = np.where(hit, g[:, :, :, None, :, None], 0.0)
+    return out, dx.reshape(n, c, h, w)
+
+
+def test_maxpool_matches_where_formula_with_ties_and_negative_zeros():
+    rng = np.random.default_rng(33)
+    shape = (2, 6, 8, 10)
+    tied = np.maximum(_channels_last(rng, shape), 0.0)      # ties at 0 and equal
+    tied[:, :, ::2, ::2] = tied[:, :, 1::2, 1::2]           # ties between nonzeros
+    for x in (tied, np.ascontiguousarray(tied)):
+        g = rng.normal(size=(2, 4, 5, 6)).round(0).transpose(0, 3, 1, 2)
+        g[g == 0] = -0.0
+        g[0, 0, 0, 0] = -0.0
+        want_out, want_dx = _maxpool_where_oracle(x, g)
+        out = ad.maxpool2d(t(x))
+        (dx,) = out._vjp(g)
+        _same_bytes(out.data, want_out)
+        _same_bytes(dx, want_dx)
+        assert np.signbit(dx).any() and (dx == 0).sum() > dx.size // 2
+
+
+@pytest.mark.parametrize("x_shape", [(40, 70), (5, 9, 70), (2, 5, 6, 70)])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_linear_matches_add_of_matmul_bit_for_bit(x_shape, contiguous):
+    rng = np.random.default_rng(len(x_shape) + 10 * contiguous)
+    xd = rng.normal(size=x_shape[::-1]).T       # reversed memory layout
+    if contiguous:
+        xd = np.ascontiguousarray(xd)
+    wd, bd = rng.normal(size=(70, 33)), rng.normal(size=33)
+    g = rng.normal(size=x_shape[:-1] + (33,))
+    results = []
+    for op in (lambda x, w, b: ad.add(ad.matmul(x, w), b), ad.linear):
+        x, w, b = t(xd), t(wd), t(bd)
+        out = op(x, w, b)
+        ad.backward(ad.total(ad.mul(out, g)))
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for want, got in zip(*results):
+        _same_bytes(got, want)
+
+
+def test_linear_shape_errors():
+    x, w, b = t(np.ones((4, 3))), t(np.ones((3, 2))), t(np.ones(2))
+    with pytest.raises(ShapeMismatch, match="inner dims"):
+        ad.linear(x, t(np.ones((2, 2))), b)
+    with pytest.raises(ShapeMismatch, match="at least 2-D"):
+        ad.linear(t(np.ones(3)), w, b)
+    with pytest.raises(ShapeMismatch, match="bias"):
+        ad.linear(x, w, t(np.ones((1, 2))))
+    with pytest.raises(ShapeMismatch, match="bias"):
+        ad.linear(x, w, t(np.ones(3)))
+    with pytest.raises(ShapeMismatch):
+        ad.linear(t(np.ones((2, 4, 3))), t(np.ones((2, 3, 2))), b)
+
+
+def _layer_norm_var_formula(a, gamma, g):
+    """The layer norm written with a.var(): (output over beta = 0, dx, dgamma)."""
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = (a - mu) * inv
+    gg = g * gamma
+    dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma, dx, (g * xhat).sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128])    # the desk stage widths
+@pytest.mark.parametrize("offset", [0.0, 1e6, -3e9])
+def test_layer_norm_matches_var_formula_bit_for_bit(width, offset):
+    rng = np.random.default_rng(width)
+    a = offset + rng.normal(size=(3, 5, width)) * rng.uniform(0.01, 10, size=(3, 5, 1))
+    gamma = rng.normal(size=width)
+    g = rng.normal(size=a.shape)
+    want_out, want_dx, want_dgamma = _layer_norm_var_formula(a, gamma, g)
+    out = ad.layer_norm(t(a), t(gamma), t(np.zeros(width)))
+    dx, dgamma, dbeta = out._vjp(g)
+    _same_bytes(out.data, want_out + 0.0)
+    _same_bytes(dx, want_dx)
+    _same_bytes(dgamma, want_dgamma)
+    _same_bytes(dbeta, g.sum(axis=(0, 1)))
+
+
 # --- no_grad ---
 
 def test_no_grad_records_no_graph():

@@ -101,6 +101,52 @@ def test_fpt_either_reports_the_channel_that_set_the_fpt(tmp_path):
                 == (tmp_path / "vertical" / artifact).read_bytes())
 
 
+def _two_column_copy(record_dir, dest):
+    """The record with only its columns 4 and 5, as columns 0 and 1."""
+    dest.mkdir(parents=True)
+    for src in sorted(record_dir.glob("acc_*.csv")):
+        rows = [line.split(",")[4:6] for line in src.read_text().splitlines()]
+        (dest / src.name).write_text("".join(",".join(r) + "\n" for r in rows))
+    return dest
+
+
+SIGNAL_ARTIFACTS = {
+    "ingest": ("record_summary.json",),
+    "fpt": ("fpt.json", "kurtosis.csv", "kurtosis.svg"),
+    "featurize": ("dataset.bin", "dataset.bin.json"),
+}
+
+
+def test_fpt_and_featurize_read_the_columns_ingest_reads(record_dir, tmp_path):
+    narrow = _two_column_copy(record_dir, tmp_path / "narrow" / record_dir.name)
+    for command, artifacts in SIGNAL_ARTIFACTS.items():
+        wide, cols = tmp_path / f"{command}-wide", tmp_path / f"{command}-cols"
+        assert run_cli(command, "--input", str(record_dir), "--outdir",
+                       str(wide)) == 0
+        assert run_cli(command, "--input", str(narrow), "--outdir", str(cols),
+                       "--hor-col", "0", "--ver-col", "1") == 0
+        for artifact in artifacts:
+            assert (wide / artifact).read_bytes() == (cols / artifact).read_bytes()
+
+
+def test_manifest_without_column_keys_reruns_byte_exactly(record_dir, tmp_path):
+    """A manifest recorded before fpt and featurize had --hor-col/--ver-col
+    reruns with the defaults, 4 and 5."""
+    for command, artifacts in SIGNAL_ARTIFACTS.items():
+        first, again = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
+        assert run_cli(command, "--input", str(record_dir), "--outdir",
+                       str(first)) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest["config"]["hor_col"], manifest["config"]["ver_col"]
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("rerun", str(first / "manifest.json"), "--outdir",
+                       str(again)) == 0
+        rerun_config = json.loads((again / "manifest.json").read_text())["config"]
+        assert (rerun_config["hor_col"], rerun_config["ver_col"]) == (4, 5)
+        for artifact in artifacts:
+            assert (first / artifact).read_bytes() == (again / artifact).read_bytes()
+
+
 def test_featurize_dataset_contents(dataset_path):
     samples, sidecar = dataio.load_dataset(dataset_path)
     assert sidecar["bearing_id"] == "Bearing9_1"

@@ -21,12 +21,12 @@ DEFAULT_CONFIGS = {
     },
     "ingest": {"input": None, "hor_col": 4, "ver_col": 5},
     "fpt": {
-        "input": None, "channel": "horizontal", "baseline": None,
-        "sigma": 3.0, "consecutive": 3, "denoise": False,
+        "input": None, "hor_col": 4, "ver_col": 5, "channel": "horizontal",
+        "baseline": None, "sigma": 3.0, "consecutive": 3, "denoise": False,
     },
     "featurize": {
-        "input": None, "fpt": "auto", "window": 10, "stride": 5, "level": 3,
-        "denoise": True, "baseline": None,
+        "input": None, "hor_col": 4, "ver_col": 5, "fpt": "auto", "window": 10,
+        "stride": 5, "level": 3, "denoise": True, "baseline": None,
     },
     "train": {
         "dataset": None, "preset": "desk", "loss": "custom", "lam": 1.0,

@@ -214,6 +214,53 @@ def test_adam_descends_quadratic():
     assert abs(theta[0]) < 0.5
 
 
+def _adam_unblocked(flat, grad, m, v, t, lr):
+    """Adam's 14-op sequence over whole vectors, as it ran before blocking."""
+    b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
+    tmp, step = np.empty_like(flat), np.empty_like(flat)
+    np.multiply(grad, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v *= b2
+    v += tmp
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += tr.ADAM_EPS
+    step /= tmp
+    flat -= step
+
+
+@pytest.mark.parametrize("size", [1, tr.ADAM_BLOCK - 1, tr.ADAM_BLOCK,
+                                  tr.ADAM_BLOCK + 1,
+                                  md.expected_param_count(md.desk_config())])
+def test_blocked_adam_matches_unblocked_bit_for_bit(size):
+    cfg = tr.TrainConfig(learning_rate=1e-3, batch_size=1, epochs=1)
+    rng = np.random.default_rng(size)
+    flat = rng.normal(size=size)
+    want_flat, want_m, want_v = flat.copy(), np.zeros(size), np.zeros(size)
+    state = tr.AdamState(size)
+    for step in range(1, 4):
+        grad = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size=size)
+        tr.adam_step(flat, grad, state, cfg)
+        _adam_unblocked(want_flat, grad, want_m, want_v, step, cfg.learning_rate)
+    for got, want in ((flat, want_flat), (state.m, want_m), (state.v, want_v)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_flat_grad_fills_the_given_vector():
+    params = md.init_params(md.desk_config(), seed=0)
+    rng = np.random.default_rng(3)
+    for tensor in params.tensors.values():
+        tensor.grad = rng.normal(size=tensor.shape)
+    out = np.full(params.flat.size, np.nan)
+    assert tr._flat_grad(params, out) is out
+    assert out.tobytes() == tr._flat_grad(params).tobytes()
+
+
 def test_missing_gradient_raises():
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=0)
