@@ -116,7 +116,7 @@ def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tens
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 16384  # elements per pass of adam_step; 6 blocks of it stay in cache
+ADAM_BLOCK = 16384  # elements per adam_step block; a block of each of its 6 vectors stays in cache
 
 
 class AdamState:

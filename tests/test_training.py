@@ -214,6 +214,13 @@ def test_adam_descends_quadratic():
     assert abs(theta[0]) < 0.5
 
 
+def test_adam_rejects_a_vector_that_is_not_1d():
+    cfg = tr.TrainConfig(learning_rate=1e-2, batch_size=1, epochs=1)
+    theta = np.zeros((2, 3))
+    with pytest.raises(ShapeMismatch):
+        tr.adam_step(theta, np.zeros((2, 3)), tr.AdamState(theta.size), cfg)
+
+
 def _adam_unblocked(flat, grad, m, v, t, lr):
     """Adam's 14-op sequence over whole vectors, as it ran before blocking."""
     b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
