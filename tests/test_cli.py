@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -285,6 +286,31 @@ def test_synth_replaces_the_earlier_record(tmp_path):
     assert manifest["artifacts"] == ["Bearing9_1", "record_summary.json"]
     assert sorted(p.name for p in out.iterdir()) == [
         "Bearing9_1", "manifest.json", "record_summary.json"]
+
+
+# (snapshots, samples, onset, seed) -> sha256 over the synth folder's file
+# names and bytes, in name order. 362 snapshots of 10 s cross an hour;
+# 25 700 samples at 25.6 kHz cross a second inside each snapshot.
+GOLDEN_SYNTH = {
+    "hour-362x16": ((362, 16, 300, 21),
+        "4c26d5997733f0cf02d56fb25d3f8c11942b4ce1f517d9c2b33bf150d0a7a86b"),
+    "second-2x25700": ((2, 25700, 1, 22),
+        "8bd25f0b1adf031a1241dff8b97decfffd7f9bd1ff1a62ae22a34deffb3aaf50"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SYNTH))
+def test_synth_csv_folder_matches_golden_hash(case, tmp_path):
+    (n, m, onset, seed), want = GOLDEN_SYNTH[case]
+    assert run_cli("synth", "--outdir", str(tmp_path), "--snapshots", str(n),
+                   "--samples", str(m), "--onset", str(onset),
+                   "--seed", str(seed)) == 0
+    digest = hashlib.sha256()
+    files = sorted((tmp_path / "Bearing9_1").iterdir())
+    assert len(files) == n
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == want
 
 
 # --- bad records, bad samples and bad split fractions ---

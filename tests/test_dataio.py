@@ -15,6 +15,7 @@ from bearingrul.errors import (
     MissingDirectory,
     VersionMismatch,
 )
+import csv_lines
 
 
 def write_fixture_tree(root, rows_per_file=(4, 4, 4), mangle=None):
@@ -129,6 +130,40 @@ def test_record_csv_roundtrip(tmp_path):
             back = dataio.load_pronostia_bearing(folder)
             assert back.horizontal.tobytes() == record.horizontal.tobytes()
             assert back.vertical.tobytes() == record.vertical.tobytes()
+
+
+def _edge_records():
+    """Records whose CSV text is hard to get right, by name."""
+    def synth(n, m, seed):
+        return dataio.gen_synthetic(dataio.SyntheticConfig(
+            n_snapshots=n, samples_per_snapshot=m, fault_onset_index=n // 2,
+            seed=seed))
+
+    odd = synth(2, 32000, 7)
+    odd = ft.BearingRecord(horizontal=odd.horizontal[:1],
+                           vertical=odd.vertical[:1])
+    specials = (0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 123456789.125)
+    odd.horizontal[0, :7] = specials
+    odd.vertical[0, -7:] = specials
+    odd.vertical[0, 25590:25610] = -0.0
+    return {
+        "pronostia-200x2560": synth(200, 2560, 1),
+        # the hour rolls over at snapshot 360
+        "hour-400x16": synth(400, 16, 2),
+        # special values; the snapshot crosses a second at sample 25600
+        "specials-1x32000": odd,
+        "long-3x77000": synth(3, 77000, 3),
+    }
+
+
+def test_csv_writer_matches_the_per_line_writer(tmp_path):
+    for name, record in _edge_records().items():
+        fast = dataio.save_record_csvdir(record, tmp_path / "fast" / name)
+        slow = csv_lines.save_record_csvdir(record, tmp_path / "slow" / name)
+        assert [p.name for p in fast] == [p.name for p in slow]
+        assert fast[0].parent == tmp_path / "fast" / name
+        for a, b in zip(fast, slow):
+            assert a.read_bytes() == b.read_bytes(), (name, a.name)
 
 
 # --- numpy fast path against the line parser ---
