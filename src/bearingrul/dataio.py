@@ -157,27 +157,74 @@ def _parse_acc_lines(path: Path, lines, hor_col: int, ver_col: int):
     return np.array(hor), np.array(ver)
 
 
+def _line_times(n: int, m: int):
+    """The timestamp fields of every line of an (n, m) record's CSVs.
+
+    Line j of snapshot i is at t = i * PRONOSTIA_PERIOD_S + j /
+    PRONOSTIA_SAMPLE_RATE. Returns, per snapshot, its runs of lines that
+    share whole hours, minutes and seconds, as (first, stop, "h,m,s,"),
+    and the (n, m) microseconds past the whole second.
+    """
+    t = (np.arange(n)[:, None] * PRONOSTIA_PERIOD_S
+         + np.arange(m) / PRONOSTIA_SAMPLE_RATE)
+    h, t = np.divmod(t, 3600.0)
+    mins, s = np.divmod(t, 60.0)
+    whole = np.floor(s)
+    us = np.subtract(s, whole, out=s)
+    us *= 1e6
+    # A run starts at each snapshot and wherever a second, minute or hour
+    # begins; a snapshot longer than a second holds several.
+    new = np.ones((n, m), dtype=bool)
+    new[:, 1:] = ((h[:, 1:] != h[:, :-1]) | (mins[:, 1:] != mins[:, :-1])
+                  | (whole[:, 1:] != whole[:, :-1]))
+    starts = np.flatnonzero(new)
+    runs = [[] for _ in range(n)]
+    for start, stop, hh, mm, ss in zip(
+            starts.tolist(), starts[1:].tolist() + [n * m],
+            h.flat[starts].tolist(), mins.flat[starts].tolist(),
+            whole.flat[starts].tolist()):
+        i, j = divmod(start, m)
+        runs[i].append((j, stop - i * m, f"{int(hh)},{int(mm)},{int(ss)},"))
+    return runs, us
+
+
+class _Tenths(dict):
+    """Microseconds -> their `.1f` text, each value formatted once.
+
+    Keying on the float is safe only because s - floor(s) is never -0.0
+    (x - x is +0.0 when rounding to nearest): -0.0 would find 0.0's entry
+    but format as "-0.0".
+    """
+
+    def __missing__(self, us):
+        text = self[us] = f"{us:.1f}"
+        return text
+
+
 def save_record_csvdir(record: BearingRecord, directory):
     """Write a record as a PRONOSTIA-style folder of acc_NNNNN.csv files.
 
-    Full-precision repr floats, so ingesting the folder reproduces the
-    record exactly.
+    Each line is `h,m,s,us,hor,ver`: the sample's time (see _line_times)
+    as whole hours, minutes and seconds and microseconds to one decimal,
+    then full-precision repr floats, so ingesting the folder reproduces
+    the record exactly. Returns the paths in snapshot order.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
+    runs, us = _line_times(*record.horizontal.shape)
+    tenths = _Tenths()
     written = []
-    for i in range(record.n_snapshots):
-        t0 = i * PRONOSTIA_PERIOD_S
+    for i, (hor, ver, frac) in enumerate(zip(record.horizontal,
+                                             record.vertical, us)):
+        hor, ver = hor.tolist(), ver.tolist()
+        frac = [tenths[u] for u in frac.tolist()]
+        lines = []
+        for a, b, prefix in runs[i]:
+            lines += [f"{prefix}{u},{x!r},{y!r}\n"
+                      for u, x, y in zip(frac[a:b], hor[a:b], ver[a:b])]
         path = root / f"acc_{i + 1:05d}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for j in range(record.samples_per_snapshot):
-                t = t0 + j / PRONOSTIA_SAMPLE_RATE
-                h, rem = divmod(t, 3600.0)
-                m, s = divmod(rem, 60.0)
-                us = (s - math.floor(s)) * 1e6
-                fh.write(f"{int(h)},{int(m)},{int(s)},{us:.1f},"
-                         f"{float(record.horizontal[i, j])!r},"
-                         f"{float(record.vertical[i, j])!r}\n")
+            fh.write("".join(lines))
         written.append(path)
     return written
 
