@@ -147,14 +147,23 @@ def _parse_acc_lines(path: Path, lines, hor_col: int, ver_col: int):
         delim = ";" if line.count(";") > line.count(",") else ","
         parts = line.split(delim)
         try:
-            hor.append(float(parts[hor_col]))
-            ver.append(float(parts[ver_col]))
+            hor.append(_number(parts[hor_col]))
+            ver.append(_number(parts[ver_col]))
         except (ValueError, IndexError) as exc:
             raise MalformedRow(f"{path}:{lineno}: {exc}",
                                path=str(path), line=lineno) from exc
     if not hor:
         raise MalformedRow(f"{path}: no data rows", path=str(path), line=0)
     return np.array(hor), np.array(ver)
+
+
+def _number(field: str) -> float:
+    """float(field) for a field that is ASCII after strip() and holds no
+    `_`; float() alone also reads `1_0` and non-ASCII digits like `１２`."""
+    text = field.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
 
 
 def _line_times(n: int, m: int):

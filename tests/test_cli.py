@@ -577,6 +577,23 @@ def test_non_utf8_input_exits_three(source, record_dir, tmp_path, capsys):
     assert err.startswith(start)
 
 
+@pytest.mark.parametrize("delim", [",", ";"], ids=["comma", "semicolon"])
+@pytest.mark.parametrize("field", ["1_0", "１２"], ids=["underscore", "fullwidth"])
+def test_non_ascii_or_underscore_number_exits_three(delim, field, record_dir,
+                                                    tmp_path, capsys):
+    bad = tmp_path / "Bearing9_1"
+    shutil.copytree(record_dir, bad)
+    csv = bad / "acc_00004.csv"
+    lines = csv.read_text().splitlines()
+    lines[6] = delim.join(("0", "0", "0", "0", field, "2"))
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    err = _assert_one_line_failure(
+        capsys, run_cli("ingest", "--input", str(bad), "--outdir", str(out)),
+        3, out)
+    assert err.startswith(f"MalformedRow: {csv}:7: ")
+
+
 FLOAT_FLAGS = [(command, flag.name) for command, spec in cli.COMMANDS.items()
                for flag in spec.flags if flag.kind is float]
 

@@ -112,6 +112,26 @@ def test_load_semicolon_delimited(tmp_path):
     np.testing.assert_allclose(record.horizontal[0], [1.5, 2.5])
 
 
+@pytest.mark.parametrize("delim", [",", ";"], ids=["comma", "semicolon"])
+@pytest.mark.parametrize("field", ["1_0", "１２", " ２ ", "1٠"],
+                         ids=["underscore", "fullwidth", "padded-fullwidth",
+                              "arabic-indic"])
+def test_load_non_ascii_or_underscore_number_is_malformed(tmp_path, delim,
+                                                          field):
+    def mangle(f, text):
+        if f == 2:
+            lines = text.splitlines()
+            lines[2] = delim.join(("0", "0", "0", "0", field, "2"))
+            return "\n".join(lines) + "\n"
+        return text
+
+    bearing = write_fixture_tree(tmp_path, mangle=mangle)
+    with pytest.raises(MalformedRow) as excinfo:
+        dataio.load_pronostia_bearing(bearing)
+    assert excinfo.value.path == str(bearing / "acc_00002.csv")
+    assert excinfo.value.line == 3
+
+
 def test_record_csv_roundtrip(tmp_path):
     """Written and re-read bit for bit, -0.0 and subnormals included, for
     the written comma folder and a `;`-delimited copy of it."""
