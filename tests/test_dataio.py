@@ -159,9 +159,9 @@ def _edge_records():
             n_snapshots=n, samples_per_snapshot=m, fault_onset_index=n // 2,
             seed=seed))
 
-    odd = synth(2, 32000, 7)
-    odd = ft.BearingRecord(horizontal=odd.horizontal[:1],
-                           vertical=odd.vertical[:1])
+    rng = np.random.default_rng(7)
+    odd = ft.BearingRecord(horizontal=rng.normal(size=(1, 32000)),
+                           vertical=rng.normal(size=(1, 32000)))
     specials = (0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 123456789.125)
     odd.horizontal[0, :7] = specials
     odd.vertical[0, -7:] = specials
