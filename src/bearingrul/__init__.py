@@ -1,7 +1,7 @@
 """Bearing remaining-useful-life prognostics toolkit.
 
 Submodules:
-    wavelets   filter banks, DWT/WPD, threshold denoising, Savitzky-Golay,
+    wavelets   the db5 DWT and WPD, threshold denoising, Savitzky-Golay,
                kurtosis
     features   sliding windows, degradation-onset detection, RUL labels,
                WPD images, dataset assembly

@@ -125,8 +125,10 @@ def backward(loss: Tensor):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None:  # a leaf: add in place, into whatever .grad views
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

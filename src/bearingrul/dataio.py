@@ -7,7 +7,8 @@ Dataset (.bin):
     u32           version (currently 1)
     u32           sample count
     u32 x 2       image height, width
-    per sample    hor pixels f32[h*w], ver pixels f32[h*w], label f32
+    per sample    hor pixels f32[h*w], ver pixels f32[h*w], label f32,
+                  packed as one _record_dtype(h, w) record
 plus a JSON sidecar at <path>.json holding bearing_id, fpt and the
 featurization config.
 
@@ -50,8 +51,10 @@ from .model import (ModelConfig, ModelParams, expected_param_count, param_layout
 
 DATASET_MAGIC = b"WPDS"
 DATASET_VERSION = 1
+DATASET_HEADER = struct.Struct("<4sIIII")  # magic, version, count, height, width
 CHECKPOINT_MAGIC = b"BRCK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = struct.Struct("<4sIQ")  # magic, version, header length
 
 PRONOSTIA_SAMPLE_RATE = 25600.0
 PRONOSTIA_PERIOD_S = 10.0
@@ -348,24 +351,27 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
 # Dataset container
 # ---------------------------------------------------------------------------
 
+def _record_dtype(h: int, w: int) -> np.dtype:
+    """One dataset record, packed: hor pixels, ver pixels, label."""
+    return np.dtype([("hor", "<f4", (h, w)), ("ver", "<f4", (h, w)), ("label", "<f4")])
+
+
 def save_dataset(samples, path, bearing_id: str = None, fpt=None, config: dict = None):
     """Write samples to the flat binary container plus its JSON sidecar."""
     path = Path(path)
     if bearing_id is None:
         bearing_id = samples[0].bearing_id if samples else ""
-    side = IMAGE_SIDE
+    records = np.array([(s.hor.pixels, s.ver.pixels, s.label) for s in samples],
+                       dtype=_record_dtype(IMAGE_SIDE, IMAGE_SIDE))
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", DATASET_MAGIC, DATASET_VERSION,
-                             len(samples), side, side))
-        for s in samples:
-            fh.write(s.hor.pixels.astype("<f4").tobytes())
-            fh.write(s.ver.pixels.astype("<f4").tobytes())
-            fh.write(struct.pack("<f", s.label))
+        fh.write(DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(samples),
+                                     IMAGE_SIDE, IMAGE_SIDE))
+        fh.write(records.tobytes())
     sidecar = {
         "magic": DATASET_MAGIC.decode(),
         "version": DATASET_VERSION,
         "n_samples": len(samples),
-        "image_side": side,
+        "image_side": IMAGE_SIDE,
         "bearing_id": bearing_id,
         "fpt": fpt,
         "config": config or {},
@@ -380,18 +386,21 @@ def load_dataset(path):
     """Read the container back; returns (samples, sidecar dict)."""
     path = Path(path)
     blob = path.read_bytes()
-    head = struct.calcsize("<4sIIII")
+    head = DATASET_HEADER.size
     if len(blob) < head:
         raise CorruptContainer(f"{path}: too small for a dataset header")
-    magic, version, count, h, w = struct.unpack_from("<4sIIII", blob)
+    magic, version, count, h, w = DATASET_HEADER.unpack_from(blob)
     if magic != DATASET_MAGIC:
         raise CorruptContainer(f"{path}: bad magic {magic!r}")
     if version != DATASET_VERSION:
         raise VersionMismatch(f"{path}: version {version}, expected {DATASET_VERSION}")
-    per_sample = (2 * h * w + 1) * 4
-    if len(blob) != head + count * per_sample:
+    try:
+        record = _record_dtype(h, w)
+    except ValueError:  # numpy caps a record at 2 GiB
+        raise CorruptContainer(f"{path}: {h}x{w} images are too large") from None
+    if len(blob) != head + count * record.itemsize:
         raise CorruptContainer(
-            f"{path}: expected {head + count * per_sample} bytes, got {len(blob)}")
+            f"{path}: expected {head + count * record.itemsize} bytes, got {len(blob)}")
     sidecar_path = Path(str(path) + ".json")
     sidecar = {}
     if sidecar_path.exists():
@@ -399,18 +408,12 @@ def load_dataset(path):
         if not isinstance(sidecar, dict):
             raise CorruptContainer(f"{sidecar_path}: sidecar is not a JSON object")
     bearing_id = sidecar.get("bearing_id", "")
-    samples = []
-    off = head
-    for _ in range(count):
-        hor = np.frombuffer(blob, dtype="<f4", count=h * w, offset=off).reshape(h, w)
-        off += h * w * 4
-        ver = np.frombuffer(blob, dtype="<f4", count=h * w, offset=off).reshape(h, w)
-        off += h * w * 4
-        (label,) = struct.unpack_from("<f", blob, off)
-        off += 4
-        samples.append(LabeledSample(hor=WpdImage(pixels=hor, channel="horizontal"),
-                                     ver=WpdImage(pixels=ver, channel="vertical"),
-                                     label=label, bearing_id=bearing_id))
+    if not isinstance(bearing_id, str):
+        raise CorruptContainer(f"{sidecar_path}: non-string bearing_id {bearing_id!r}")
+    samples = [LabeledSample(hor=WpdImage(pixels=r["hor"], channel="horizontal"),
+                             ver=WpdImage(pixels=r["ver"], channel="vertical"),
+                             label=r["label"], bearing_id=bearing_id)
+               for r in np.frombuffer(blob, dtype=record, count=count, offset=head)]
     return samples, sidecar
 
 
@@ -430,8 +433,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path):
     header = json.dumps({"config": cfg.to_dict(), "init_seed": params.init_seed,
                          "manifest": _manifest(cfg)}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                             len(header)))
+        fh.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                        len(header)))
         fh.write(header)
         fh.write(params.flat.astype("<f8").tobytes())
     return path
@@ -441,10 +444,10 @@ def load_checkpoint(path):
     """Returns (params, config); parameters are trainable tensors."""
     path = Path(path)
     blob = path.read_bytes()
-    head = struct.calcsize("<4sIQ")
+    head = CHECKPOINT_HEADER.size
     if len(blob) < head:
         raise CorruptContainer(f"{path}: too small for a checkpoint header")
-    magic, version, hlen = struct.unpack_from("<4sIQ", blob)
+    magic, version, hlen = CHECKPOINT_HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
         raise CorruptContainer(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:

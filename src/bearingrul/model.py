@@ -1,10 +1,11 @@
 """Two-channel regression network over WPD images.
 
 Per-channel conv stems feed a channel-concatenated linear embedding, four
-hierarchical stages of windowed multi-head self-attention (alternating
-plain and cyclically shifted partitions, with learned relative-position
-bias) separated by 2x2 patch merging, then global average pooling and a
-small fully connected head that emits one unbounded RUL estimate.
+hierarchical stages of windowed multi-head self-attention with learned
+relative-position bias, separated by 2x2 patch merging, then global average
+pooling and a small fully connected head that emits one unbounded RUL
+estimate. Every second block of a stage attends in cyclically shifted
+windows unless its grid is one window: "desk" builds no such block, "paper" 5.
 
 Shapes are derivable from the config alone and validated at construction,
 so a mismatched (input side, window, depths) combination fails fast. The
@@ -131,24 +132,30 @@ class ModelParams:
 
     def __init__(self, cfg: ModelConfig, flat: np.ndarray, init_seed: int = 0):
         self.flat = flat
+        self.grad = None
         self.init_seed = init_seed
-        self.tensors = {}
-        start = 0
-        for name, shape in param_layout(cfg):
-            stop = start + int(np.prod(shape))
-            self.tensors[name] = Tensor(flat[start:stop].reshape(shape),
-                                        requires_grad=True)
-            start = stop
+        self._layout = param_layout(cfg)
+        self.tensors = {n: Tensor(v, requires_grad=True)
+                        for n, v in _views(flat, self._layout)}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def zero_grad(self):
-        for t in self.tensors.values():
-            t.grad = None
+        """Zero `grad`, laid out like `flat`, and point each .grad at its slice."""
+        if self.grad is None:  # the first call; inference never makes one
+            self.grad = np.empty_like(self.flat)
+            self._grad_views = _views(self.grad, self._layout)
+        self.grad.fill(0.0)
+        for name, view in self._grad_views:
+            self.tensors[name].grad = view
+
+
+def _views(vector: np.ndarray, layout: tuple):
+    """(name, view) per entry of a param_layout, splitting `vector` in order."""
+    ends = np.cumsum([int(np.prod(shape)) for _, shape in layout])[:-1]
+    return [(name, part.reshape(shape))
+            for (name, shape), part in zip(layout, np.split(vector, ends))]
 
 
 @lru_cache(maxsize=8)
@@ -245,7 +252,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
             data = _trunc_normal(rng, shape)
         params[name].data[...] = data
     logger.info("initialized %s preset: %d parameters", cfg.preset,
-                params.param_count())
+                params.flat.size)
     return params
 
 

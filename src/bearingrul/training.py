@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .errors import (ConfigMismatch, DivergedLoss, EmptyBatch, EmptyDataset,
-                     InvalidConfig, ShapeMismatch)
+from .errors import (DivergedLoss, EmptyBatch, EmptyDataset, InvalidConfig,
+                     ShapeMismatch)
 
 HINGE_RATE = 5.0    # divisor of late (positive) errors in the score
 EARLY_RATE = 15.0   # divisor of early (negative) errors in the score
@@ -84,16 +84,6 @@ class PredictionBatch:
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-
-def custom_loss(batch: PredictionBatch, lam: float = 1.0) -> float:
-    """Mean of squared error plus lam * hinge on overestimation."""
-    e = batch.errors
-    return float(np.mean(e ** 2 + lam * np.maximum(0.0, e)))
-
-
-def mse_loss(batch: PredictionBatch) -> float:
-    return float(np.mean(batch.errors ** 2))
-
 
 def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tensor:
     """Differentiable loss on a prediction tensor.
@@ -210,7 +200,6 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=train_cfg.seed, spawn_key=(1,)))
     state = AdamState(params.flat.size)
-    grad = np.empty_like(params.flat)
     history = []
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -228,7 +217,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
             params.zero_grad()
             ad.backward(loss)
-            adam_step(params.flat, _flat_grad(params, grad), state, train_cfg)
+            adam_step(params.flat, params.grad, state, train_cfg)
             loss_sum += value * idx.size
             n_seen += idx.size
             step += 1
@@ -241,17 +230,6 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             stats.val_mae = mae(PredictionBatch(val_preds, val_targets))
         history.append(stats)
     return params, history
-
-
-def _flat_grad(params: model_mod.ModelParams,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Leaf gradients concatenated in the order of params.flat, into `out`
-    when given (a vector of params.flat's size) or else a new vector."""
-    for name, tensor in params.tensors.items():
-        if tensor.grad is None:
-            raise ConfigMismatch(f"{name} received no gradient")
-    return np.concatenate([t.grad for t in params.tensors.values()], axis=None,
-                          out=out)
 
 
 # ---------------------------------------------------------------------------

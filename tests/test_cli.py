@@ -347,7 +347,7 @@ def _corrupt_pixel(blob):
 
 
 def _small_images(blob):
-    blob[:] = struct.pack("<4sIIII", b"WPDS", 1, 1, 32, 32) + bytes(
+    blob[:] = dataio.DATASET_HEADER.pack(b"WPDS", 1, 1, 32, 32) + bytes(
         (2 * 32 * 32 + 1) * 4)
 
 
@@ -418,10 +418,11 @@ def test_synth_bearing_id_must_be_a_plain_name(bearing_id, tmp_path, capsys):
 def _rewrite_header(checkpoint, edit):
     """The checkpoint's bytes with its JSON header replaced by edit(header)."""
     blob = checkpoint.read_bytes()
-    magic, version, hlen = struct.unpack_from("<4sIQ", blob)
+    magic, version, hlen = dataio.CHECKPOINT_HEADER.unpack_from(blob)
     header = edit(json.loads(blob[16:16 + hlen]))
     raw = header if isinstance(header, bytes) else json.dumps(header).encode()
-    return struct.pack("<4sIQ", magic, version, len(raw)) + raw + blob[16 + hlen:]
+    return (dataio.CHECKPOINT_HEADER.pack(magic, version, len(raw)) + raw
+            + blob[16 + hlen:])
 
 
 def _drop_manifest(header):
@@ -488,7 +489,7 @@ def test_non_finite_checkpoint_parameter_exits_three(name, value, dataset_path,
                                                      checkpoint_path, tmp_path,
                                                      capsys):
     blob = bytearray(checkpoint_path.read_bytes())
-    _, _, hlen = struct.unpack_from("<4sIQ", blob)
+    _, _, hlen = dataio.CHECKPOINT_HEADER.unpack_from(blob)
     _, cfg = dataio.load_checkpoint(checkpoint_path)
     offset = 16 + hlen
     for entry, shape in md.param_layout(cfg):
@@ -632,6 +633,29 @@ def test_non_object_dataset_sidecar_exits_three(dataset_path, checkpoint_path,
                    str(checkpoint_path), "--outdir", str(out))
     err = _assert_one_line_failure(capsys, code, 3, out)
     assert err.startswith("CorruptContainer:") and "not a JSON object" in err
+
+
+def test_non_string_sidecar_bearing_id_exits_three(dataset_path, checkpoint_path,
+                                                   tmp_path, capsys):
+    bad = tmp_path / "dataset.bin"
+    shutil.copy(dataset_path, bad)
+    sidecar = json.loads(Path(str(dataset_path) + ".json").read_text())
+    Path(str(bad) + ".json").write_text(json.dumps({**sidecar, "bearing_id": 5}))
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("CorruptContainer:") and "bearing_id" in err
+
+
+def test_oversized_dataset_images_exit_three(checkpoint_path, tmp_path, capsys):
+    bad = tmp_path / "dataset.bin"
+    bad.write_bytes(dataio.DATASET_HEADER.pack(b"WPDS", 1, 1, 1 << 16, 1 << 16))
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err.startswith("CorruptContainer:")
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_config_roundtrips_via_dict():
 def test_param_census_matches_config():
     for cfg in (md.desk_config(), md.paper_config()):
         params = md.init_params(cfg, seed=0)
-        assert params.param_count() == md.expected_param_count(cfg)
+        assert params.flat.size == md.expected_param_count(cfg)
 
 
 def test_param_census_paper_logged(caplog):
@@ -110,6 +111,22 @@ def test_params_view_one_flat_vector_in_sorted_name_order(desk):
     fresh = md.init_params(cfg, seed=1)
     fresh.flat[-1] = 7.0
     assert fresh[names[-1]].data.flat[-1] == 7.0
+
+
+def test_zero_grad_views_one_gradient_vector():
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=0)
+    assert params.grad is None  # inference never allocates it
+    params.zero_grad()
+    grad = params.grad
+    assert grad.shape == params.flat.shape and not grad.any()
+    for name, shape in md.param_layout(cfg):
+        assert params[name].grad.shape == shape
+        assert params[name].grad.base is grad
+    grad[-1] = 7.0
+    assert params[md.param_layout(cfg)[-1][0]].grad.flat[-1] == 7.0
+    params.zero_grad()
+    assert params.grad is grad and not grad.any()
 
 
 def test_validate_params_rejects_a_rebound_tensor():
@@ -250,6 +267,26 @@ def test_stage_cascade_dims():
 
 
 # --- forward ---
+
+@pytest.mark.parametrize("cfg,shifted", [
+    (md.desk_config(), [0, 0, 0, 0]),
+    # the paper preset's depths, window and side; widths only cut the cost
+    (dataclasses.replace(md.paper_config(), embed_dim_base=16,
+                         heads=(1, 2, 4, 8)), [1, 1, 3, 0]),
+], ids=["desk", "paper"])
+def test_shifted_window_blocks_per_stage(cfg, shifted, monkeypatch):
+    counts = [0, 0, 0, 0]
+    real = md.window_attention
+
+    def spy(tokens, params, prefix, heads, window, shifted):
+        counts[int(prefix[len("stage")])] += shifted
+        return real(tokens, params, prefix, heads, window, shifted)
+
+    monkeypatch.setattr(md, "window_attention", spy)
+    x = np.zeros((1, 1, cfg.input_side, cfg.input_side))
+    md.forward_batch(md.init_params(cfg, seed=0), cfg, x, x)
+    assert counts == shifted
+
 
 def test_forward_batch_shape_and_finite(desk):
     cfg, params = desk

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import bearingrul.autodiff as ad
 from bearingrul import features as ft, model as md, training as tr
 from bearingrul.autodiff import Tensor
-from bearingrul.errors import (ConfigMismatch, DivergedLoss, EmptyBatch,
-                               EmptyDataset, ShapeMismatch)
+from bearingrul.errors import DivergedLoss, EmptyBatch, EmptyDataset, ShapeMismatch
+from loss_oracle import custom_loss, mse_loss
 
 
 def batch(preds, targets):
@@ -29,35 +30,35 @@ def tiny_dataset(n=12, seed=0):
 # --- loss formulas ---
 
 def test_custom_loss_late_example():
-    assert tr.custom_loss(batch([0.8], [0.5]), lam=1.0) == pytest.approx(0.39, abs=1e-12)
+    assert custom_loss(batch([0.8], [0.5]), lam=1.0) == pytest.approx(0.39, abs=1e-12)
 
 
 def test_custom_loss_early_example():
-    assert tr.custom_loss(batch([0.2], [0.5]), lam=1.0) == pytest.approx(0.09, abs=1e-12)
+    assert custom_loss(batch([0.2], [0.5]), lam=1.0) == pytest.approx(0.09, abs=1e-12)
 
 
 def test_custom_loss_zero_at_exact():
-    assert tr.custom_loss(batch([0.3, 0.7], [0.3, 0.7]), lam=2.0) == 0.0
+    assert custom_loss(batch([0.3, 0.7], [0.3, 0.7]), lam=2.0) == 0.0
 
 
 def test_custom_loss_lambda_zero_equals_mse_exactly():
     rng = np.random.default_rng(0)
     for _ in range(20):
         b = batch(rng.normal(0.5, 0.3, size=8), rng.random(8))
-        assert tr.custom_loss(b, lam=0.0) == tr.mse_loss(b)
+        assert custom_loss(b, lam=0.0) == mse_loss(b)
 
 
 def test_custom_loss_dominates_mse():
     rng = np.random.default_rng(1)
     for _ in range(50):
         b = batch(rng.normal(0.5, 0.4, size=6), rng.random(6))
-        assert tr.custom_loss(b, lam=1.0) >= tr.mse_loss(b)
+        assert custom_loss(b, lam=1.0) >= mse_loss(b)
         if np.all(b.errors <= 0):
-            assert tr.custom_loss(b, lam=1.0) == tr.mse_loss(b)
+            assert custom_loss(b, lam=1.0) == mse_loss(b)
 
 
 def test_mse_loss_example():
-    assert tr.mse_loss(batch([1.0, 0.0], [0.0, 1.0])) == 1.0
+    assert mse_loss(batch([1.0, 0.0], [0.0, 1.0])) == 1.0
 
 
 def test_empty_batch_rejected():
@@ -76,7 +77,7 @@ def test_loss_node_matches_metric_value():
     targets = rng.random(10)
     node = tr.loss_node(Tensor(preds), targets, tr.LossConfig(kind="custom", lam=1.3))
     assert float(node.data) == pytest.approx(
-        tr.custom_loss(batch(preds, targets), 1.3), rel=1e-12)
+        custom_loss(batch(preds, targets), 1.3), rel=1e-12)
 
 
 def test_loss_node_gradient_matches_finite_difference():
@@ -91,9 +92,9 @@ def test_loss_node_gradient_matches_finite_difference():
     for i in range(8):
         shifted = preds.copy()
         shifted[i] += h
-        up = tr.custom_loss(batch(shifted, targets), 1.0)
+        up = custom_loss(batch(shifted, targets), 1.0)
         shifted[i] -= 2 * h
-        down = tr.custom_loss(batch(shifted, targets), 1.0)
+        down = custom_loss(batch(shifted, targets), 1.0)
         num = (up - down) / (2 * h)
         assert abs(p.grad[i] - num) / max(abs(num), 1e-8) < 1e-6
 
@@ -258,23 +259,33 @@ def test_blocked_adam_matches_unblocked_bit_for_bit(size):
         assert got.tobytes() == want.tobytes()
 
 
-def test_flat_grad_fills_the_given_vector():
-    params = md.init_params(md.desk_config(), seed=0)
-    rng = np.random.default_rng(3)
-    for tensor in params.tensors.values():
-        tensor.grad = rng.normal(size=tensor.shape)
-    out = np.full(params.flat.size, np.nan)
-    assert tr._flat_grad(params, out) is out
-    assert out.tobytes() == tr._flat_grad(params).tobytes()
+# The paper preset at desk widths: depths (2, 2, 6, 2) on a 32x32 token
+# grid build 5 shifted blocks, (1, 1, 3, 0) per stage.
+PAPER_DEPTHS = dataclasses.replace(md.paper_config(), embed_dim_base=16,
+                                   heads=(1, 2, 4, 8))
 
 
-def test_missing_gradient_raises():
-    cfg = md.desk_config()
+@pytest.mark.parametrize("cfg", [md.desk_config(), PAPER_DEPTHS],
+                         ids=["desk", "paper-depths"])
+def test_backward_reaches_every_parameter(cfg):
     params = md.init_params(cfg, seed=0)
-    for name, tensor in params.tensors.items():
-        tensor.grad = None if name == "embed.b" else np.zeros(tensor.shape)
-    with pytest.raises(ConfigMismatch, match="embed.b"):
-        tr._flat_grad(params)
+    rng = np.random.default_rng(4)
+    hor, ver = rng.random((2, 2, 1, cfg.input_side, cfg.input_side))
+    labels = rng.random(2)
+
+    def backward():
+        preds = md.forward_batch(params, cfg, hor, ver, training=True, rng=5)
+        ad.backward(tr.loss_node(preds, labels, tr.LossConfig()))
+
+    for tensor in params.tensors.values():
+        tensor.grad = None
+    backward()
+    missing = [name for name, t in params.tensors.items() if t.grad is None]
+    assert missing == []
+    fresh = np.concatenate([t.grad for t in params.tensors.values()], axis=None)
+    params.zero_grad()
+    backward()
+    assert params.grad.tobytes() == fresh.tobytes()
 
 
 # --- training loop ---
