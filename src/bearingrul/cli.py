@@ -181,7 +181,7 @@ def _training_setup(cfg, split: str):
     if not 0.0 <= cfg[split] <= 0.5:
         raise InvalidConfig(
             f"--{split.replace('_', '-')} {cfg[split]} outside [0, 0.5]")
-    samples, _ = dataio.load_dataset(cfg["dataset"])
+    samples = dataio.load_dataset(cfg["dataset"])
     train_set, val_set = _split_dataset(samples, cfg[split], cfg["seed"])
     mcfg = model.config_from_preset(cfg["preset"])
     tcfg = training.TrainConfig(learning_rate=cfg["lr"],
@@ -211,7 +211,7 @@ def cmd_train(cfg, out: Path):
 
 
 def _evaluate(cfg):
-    samples, _ = dataio.load_dataset(cfg["dataset"])
+    samples = dataio.load_dataset(cfg["dataset"])
     if not samples:
         raise EmptyDataset(f"{cfg['dataset']}: no samples to predict")
     params, mcfg = dataio.load_checkpoint(cfg["checkpoint"])
@@ -242,9 +242,12 @@ def cmd_predict(cfg, out: Path):
 
 def cmd_exp_loss(cfg, out: Path):
     """Twin training: identical data and seed, MSE vs hinge-penalized loss."""
+    if cfg["holdout"] == 0:
+        raise InvalidConfig(
+            f"--holdout {cfg['holdout']} must be nonzero for exp-loss")
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "holdout")
     if not val_set:
-        raise DataError("exp-loss needs a nonzero holdout fraction")
+        raise DataError(f"--holdout {cfg['holdout']} held out no samples")
     targets = np.array([s.label for s in val_set])
     report = {}
     for kind in ("mse", "custom"):

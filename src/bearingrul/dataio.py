@@ -9,8 +9,10 @@ Dataset (.bin):
     u32 x 2       image height, width
     per sample    hor pixels f32[h*w], ver pixels f32[h*w], label f32,
                   packed as one _record_dtype(h, w) record
-plus a JSON sidecar at <path>.json holding bearing_id, fpt and the
-featurization config.
+The container alone is the dataset: load_dataset reads nothing else. Beside
+it, save_dataset writes a JSON sidecar at <path>.json holding exactly
+bearing_id, fpt and the featurization config, for people and tools; no
+command reads it back.
 
 Checkpoint (.ckpt):
     bytes 0..3    magic b"BRCK"
@@ -356,26 +358,16 @@ def _record_dtype(h: int, w: int) -> np.dtype:
     return np.dtype([("hor", "<f4", (h, w)), ("ver", "<f4", (h, w)), ("label", "<f4")])
 
 
-def save_dataset(samples, path, bearing_id: str = None, fpt=None, config: dict = None):
+def save_dataset(samples, path, bearing_id: str = "", fpt=None, config: dict = None):
     """Write samples to the flat binary container plus its JSON sidecar."""
     path = Path(path)
-    if bearing_id is None:
-        bearing_id = samples[0].bearing_id if samples else ""
     records = np.array([(s.hor.pixels, s.ver.pixels, s.label) for s in samples],
                        dtype=_record_dtype(IMAGE_SIDE, IMAGE_SIDE))
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(samples),
                                      IMAGE_SIDE, IMAGE_SIDE))
         fh.write(records.tobytes())
-    sidecar = {
-        "magic": DATASET_MAGIC.decode(),
-        "version": DATASET_VERSION,
-        "n_samples": len(samples),
-        "image_side": IMAGE_SIDE,
-        "bearing_id": bearing_id,
-        "fpt": fpt,
-        "config": config or {},
-    }
+    sidecar = {"bearing_id": bearing_id, "fpt": fpt, "config": config or {}}
     with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -383,7 +375,7 @@ def save_dataset(samples, path, bearing_id: str = None, fpt=None, config: dict =
 
 
 def load_dataset(path):
-    """Read the container back; returns (samples, sidecar dict)."""
+    """Read the container back as a list of samples; the sidecar is not read."""
     path = Path(path)
     blob = path.read_bytes()
     head = DATASET_HEADER.size
@@ -401,20 +393,9 @@ def load_dataset(path):
     if len(blob) != head + count * record.itemsize:
         raise CorruptContainer(
             f"{path}: expected {head + count * record.itemsize} bytes, got {len(blob)}")
-    sidecar_path = Path(str(path) + ".json")
-    sidecar = {}
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        if not isinstance(sidecar, dict):
-            raise CorruptContainer(f"{sidecar_path}: sidecar is not a JSON object")
-    bearing_id = sidecar.get("bearing_id", "")
-    if not isinstance(bearing_id, str):
-        raise CorruptContainer(f"{sidecar_path}: non-string bearing_id {bearing_id!r}")
-    samples = [LabeledSample(hor=WpdImage(pixels=r["hor"], channel="horizontal"),
-                             ver=WpdImage(pixels=r["ver"], channel="vertical"),
-                             label=r["label"], bearing_id=bearing_id)
-               for r in np.frombuffer(blob, dtype=record, count=count, offset=head)]
-    return samples, sidecar
+    return [LabeledSample(hor=WpdImage(r["hor"]), ver=WpdImage(r["ver"]),
+                          label=r["label"])
+            for r in np.frombuffer(blob, dtype=record, count=count, offset=head)]
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,6 @@ class WpdImage:
     """
 
     pixels: np.ndarray
-    channel: str = ""
     source_window: Optional[Window] = None
 
     def __post_init__(self):
@@ -229,7 +228,7 @@ def normalize_image(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def wpd_image(window_signal, level: int = 3, channel: str = "",
+def wpd_image(window_signal, level: int = 3,
               source_window: Optional[Window] = None) -> WpdImage:
     """Level-`level` WPD laid out as row blocks of a 64x64 image.
 
@@ -244,7 +243,7 @@ def wpd_image(window_signal, level: int = 3, channel: str = "",
     grid = np.linspace(0.0, m - 1, IMAGE_SIDE * IMAGE_SIDE // n_bands)
     raw = np.stack([np.interp(grid, np.arange(m), band) for band in bands])
     return WpdImage(pixels=normalize_image(raw.reshape(IMAGE_SIDE, IMAGE_SIDE)),
-                    channel=channel, source_window=source_window)
+                    source_window=source_window)
 
 
 @dataclass
@@ -258,7 +257,6 @@ class LabeledSample:
     hor: WpdImage
     ver: WpdImage
     label: float
-    bearing_id: str = ""
 
     def __post_init__(self):
         self.label = float(np.float32(self.label))
@@ -297,15 +295,11 @@ def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
     windows = [w for w in sliding_windows(record, size, stride) if w.last >= fpt]
     if not windows:
         raise NoPostFptWindows(f"no windows end at or after fpt {fpt}")
-    samples = []
-    for w in windows:
-        sample_args = {}
-        for name in CHANNELS:
-            signal = record.channel(name)[w.start:w.start + w.size].reshape(-1)
-            sample_args[name] = wpd_image(signal, level, channel=name,
-                                          source_window=w)
-        samples.append(LabeledSample(hor=sample_args["horizontal"],
-                                     ver=sample_args["vertical"],
-                                     label=float(labels[w.last]),
-                                     bearing_id=record.bearing_id))
-    return samples
+
+    def image(name, w):
+        signal = record.channel(name)[w.start:w.start + w.size].reshape(-1)
+        return wpd_image(signal, level, source_window=w)
+
+    return [LabeledSample(image("horizontal", w), image("vertical", w),
+                          label=float(labels[w.last]))
+            for w in windows]

@@ -124,19 +124,20 @@ def config_from_preset(name: str) -> ModelConfig:
 class ModelParams:
     """Every learnable tensor as a named view into one float64 vector.
 
-    `flat` holds the parameters in param_layout order and params[name] is a
-    trainable Tensor over its slice, so in-place writes to either side are
-    seen by both. Rebinding a tensor's .data detaches it from `flat`;
-    validate_params rejects that.
+    `flat` holds the parameters in param_layout(cfg) order and params[name]
+    is a trainable Tensor over its slice, so in-place writes to either side
+    are seen by both. `cfg` is the config the params were built from.
+    Rebinding a tensor's .data detaches it from `flat`; validate_params
+    rejects that.
     """
 
     def __init__(self, cfg: ModelConfig, flat: np.ndarray, init_seed: int = 0):
+        self.cfg = cfg
         self.flat = flat
         self.grad = None
         self.init_seed = init_seed
-        self._layout = param_layout(cfg)
         self.tensors = {n: Tensor(v, requires_grad=True)
-                        for n, v in _views(flat, self._layout)}
+                        for n, v in _views(flat, param_layout(cfg))}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -145,7 +146,7 @@ class ModelParams:
         """Zero `grad`, laid out like `flat`, and point each .grad at its slice."""
         if self.grad is None:  # the first call; inference never makes one
             self.grad = np.empty_like(self.flat)
-            self._grad_views = _views(self.grad, self._layout)
+            self._grad_views = _views(self.grad, param_layout(self.cfg))
         self.grad.fill(0.0)
         for name, view in self._grad_views:
             self.tensors[name].grad = view
@@ -257,15 +258,10 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def validate_params(params: ModelParams, cfg: ModelConfig):
-    """Names and shapes must match the config, and every tensor view flat."""
-    expected = expected_shapes(cfg)
-    actual = {k: v.shape for k, v in params.tensors.items()}
-    if actual != expected:
-        missing = expected.keys() - actual.keys()
-        extra = actual.keys() - expected.keys()
-        raise ConfigMismatch(
-            f"params do not match config (missing={sorted(missing)[:3]}, "
-            f"extra={sorted(extra)[:3]})")
+    """The params must be built from cfg, and every tensor view flat."""
+    if params.cfg != cfg:
+        raise ConfigMismatch(f"params were built for another config (preset "
+                             f"{params.cfg.preset!r}, given {cfg.preset!r})")
     for name, tensor in params.tensors.items():
         if tensor.data.base is not params.flat:
             raise ConfigMismatch(
@@ -339,8 +335,7 @@ def conv_stem(x: Tensor, params: ModelParams, channel: str) -> Tensor:
     return ad.relu(ad.maxpool2d(y))
 
 
-def fuse(hor_feat: Tensor, ver_feat: Tensor, params: ModelParams,
-         cfg: ModelConfig) -> Tensor:
+def fuse(hor_feat: Tensor, ver_feat: Tensor, params: ModelParams) -> Tensor:
     """Concatenate stem outputs on channels and embed to tokens.
 
     Each (N, C, side, side) stem output is already channels-last in memory,
@@ -451,7 +446,7 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
             f"got {hor.shape} / {ver.shape} (run prepare_images first)")
     n = hor.shape[0]
     tokens = fuse(conv_stem(Tensor(hor), params, "hor"),
-                  conv_stem(Tensor(ver), params, "ver"), params, cfg)
+                  conv_stem(Tensor(ver), params, "ver"), params)
     for i in range(4):
         window = cfg.stage_window(i)
         can_shift = window < cfg.stage_side(i)

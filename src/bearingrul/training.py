@@ -172,8 +172,7 @@ class EpochStats:
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset, model_cfg, train_cfg: TrainConfig,
-          loss_cfg: LossConfig = LossConfig(), val_dataset=None,
-          init: Optional[model_mod.ModelParams] = None):
+          loss_cfg: LossConfig = LossConfig(), val_dataset=None):
     """Seeded full training run; returns (params, history).
 
     Per epoch: shuffle (seeded), then per batch forward -> loss ->
@@ -189,8 +188,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     if train_cfg.batch_size > len(dataset):
         raise EmptyDataset(
             f"batch_size {train_cfg.batch_size} exceeds dataset size {len(dataset)}")
-    params = init if init is not None else model_mod.init_params(
-        model_cfg, seed=train_cfg.seed)
+    params = model_mod.init_params(model_cfg, seed=train_cfg.seed)
     hor = model_mod.prepare_images([s.hor.pixels for s in dataset],
                                    model_cfg.input_side)
     ver = model_mod.prepare_images([s.ver.pixels for s in dataset],

@@ -149,7 +149,8 @@ def test_manifest_without_column_keys_reruns_byte_exactly(record_dir, tmp_path):
 
 
 def test_featurize_dataset_contents(dataset_path):
-    samples, sidecar = dataio.load_dataset(dataset_path)
+    samples = dataio.load_dataset(dataset_path)
+    sidecar = json.loads(Path(str(dataset_path) + ".json").read_text())
     assert sidecar["bearing_id"] == "Bearing9_1"
     assert sidecar["config"]["stride"] == 2
     assert len(samples) > 20
@@ -368,14 +369,30 @@ def test_bad_dataset_sample_exits_three(corrupt, dataset_path, checkpoint_path,
 
 @pytest.mark.parametrize("command,flag,value", [
     ("train", "--val-fraction", "0.9"), ("train", "--val-fraction", "-0.1"),
-    ("exp-loss", "--holdout", "0.9"), ("exp-loss", "--holdout", "-0.25")])
+    ("exp-loss", "--holdout", "0.9"), ("exp-loss", "--holdout", "-0.25"),
+    ("exp-loss", "--holdout", "0")])
 def test_split_fraction_out_of_range_exits_two(command, flag, value,
                                                dataset_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(command, "--dataset", str(dataset_path), "--outdir", str(out),
                    "--epochs", "1", "--batch-size", "2", flag, value)
     err = _assert_one_line_failure(capsys, code, 2, out)
-    assert err == f"InvalidConfig: {flag} {float(value)} outside [0, 0.5]\n"
+    if float(value) == 0:
+        assert err == "InvalidConfig: --holdout 0.0 must be nonzero for exp-loss\n"
+    else:
+        assert err == f"InvalidConfig: {flag} {float(value)} outside [0, 0.5]\n"
+
+
+def test_exp_loss_split_that_holds_out_nothing_exits_three(dataset_path, tmp_path,
+                                                           capsys):
+    one = dataio.save_dataset(dataio.load_dataset(dataset_path)[:1],
+                              tmp_path / "dataset.bin")
+    out = tmp_path / "out"
+    code = run_cli("exp-loss", "--dataset", str(one), "--outdir", str(out),
+                   "--epochs", "1", "--batch-size", "1", "--holdout", "0.5",
+                   "--seed", "1")
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err == "DataError: --holdout 0.5 held out no samples\n"
 
 
 @pytest.mark.parametrize("command,source,options", [
@@ -623,29 +640,30 @@ def test_non_finite_float_flag_exits_two(command, flag, tmp_path, capsys):
         assert not out.exists()
 
 
-def test_non_object_dataset_sidecar_exits_three(dataset_path, checkpoint_path,
-                                                tmp_path, capsys):
-    bad = tmp_path / "dataset.bin"
-    shutil.copy(dataset_path, bad)
-    Path(str(bad) + ".json").write_text("[]\n")
+@pytest.mark.parametrize("sidecar", [
+    None, lambda real: "[]\n",
+    lambda real: json.dumps({**json.loads(real), "n_samples": 999, "image_side": 7})],
+    ids=["missing", "list", "wrong-header"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_and_predict_never_read_the_dataset_sidecar(
+        command, sidecar, dataset_path, checkpoint_path, tmp_path):
+    real = tmp_path / "real"
+    assert run_cli(command, "--dataset", str(dataset_path), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(real)) == 0
+    edited = tmp_path / "edited" / "dataset.bin"
+    edited.parent.mkdir()
+    shutil.copy(dataset_path, edited)
+    if sidecar is not None:
+        real_sidecar = Path(str(dataset_path) + ".json").read_text()
+        Path(str(edited) + ".json").write_text(sidecar(real_sidecar))
     out = tmp_path / "out"
-    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
-                   str(checkpoint_path), "--outdir", str(out))
-    err = _assert_one_line_failure(capsys, code, 3, out)
-    assert err.startswith("CorruptContainer:") and "not a JSON object" in err
-
-
-def test_non_string_sidecar_bearing_id_exits_three(dataset_path, checkpoint_path,
-                                                   tmp_path, capsys):
-    bad = tmp_path / "dataset.bin"
-    shutil.copy(dataset_path, bad)
-    sidecar = json.loads(Path(str(dataset_path) + ".json").read_text())
-    Path(str(bad) + ".json").write_text(json.dumps({**sidecar, "bearing_id": 5}))
-    out = tmp_path / "out"
-    code = run_cli("eval", "--dataset", str(bad), "--checkpoint",
-                   str(checkpoint_path), "--outdir", str(out))
-    err = _assert_one_line_failure(capsys, code, 3, out)
-    assert err.startswith("CorruptContainer:") and "bearing_id" in err
+    assert run_cli(command, "--dataset", str(edited), "--checkpoint",
+                   str(checkpoint_path), "--outdir", str(out)) == 0
+    artifacts = sorted(p.name for p in real.iterdir() if p.name != "manifest.json")
+    assert artifacts == sorted(p.name for p in out.iterdir()
+                               if p.name != "manifest.json")
+    for name in artifacts:
+        assert (out / name).read_bytes() == (real / name).read_bytes()
 
 
 def test_oversized_dataset_images_exit_three(checkpoint_path, tmp_path, capsys):

@@ -289,9 +289,12 @@ def test_build_dataset_denoised_pipeline_runs():
     record = gaussian_record(30, 128, seed=19)
     samples = ft.build_dataset(record, fpt=10, size=10, stride=5, denoise=True)
     assert len(samples) == 4
+    vertical = ft.preprocess_record(record).vertical
     for s in samples:
         assert s.hor.pixels.shape == (64, 64)
-        assert s.ver.channel == "vertical"
+        w = s.ver.source_window
+        signal = vertical[w.start:w.start + w.size].reshape(-1)
+        assert np.array_equal(s.ver.pixels, ft.wpd_image(signal).pixels)
 
 
 def test_preprocess_record_smooths():

@@ -157,12 +157,12 @@ def test_fuse_token_grid(desk):
     rng = np.random.default_rng(1)
     hor = md.conv_stem(Tensor(rng.random((1, 1, 32, 32))), params, "hor")
     ver = md.conv_stem(Tensor(rng.random((1, 1, 32, 32))), params, "ver")
-    tokens = md.fuse(hor, ver, params, cfg)
+    tokens = md.fuse(hor, ver, params)
     assert tokens.data.shape == (1, 16, 16, cfg.embed_dim_base)
 
 
 def test_fuse_is_channel_asymmetric(desk):
-    cfg, params = desk
+    _, params = desk
     rng = np.random.default_rng(2)
     a = rng.random((1, 1, 32, 32))
     b = rng.random((1, 1, 32, 32))
@@ -170,7 +170,7 @@ def test_fuse_is_channel_asymmetric(desk):
     def run(first, second):
         return md.fuse(md.conv_stem(Tensor(first), params, "hor"),
                        md.conv_stem(Tensor(second), params, "ver"),
-                       params, cfg).data
+                       params).data
 
     assert not np.allclose(run(a, b), run(b, a))
 
@@ -183,7 +183,7 @@ def test_paper_fuse_token_count():
     ver = md.conv_stem(Tensor(rng.random((1, 1, 64, 64))), params, "ver")
     fused = ad.concat([hor, ver], axis=1)
     assert fused.data.shape == (1, 64, 32, 32)
-    tokens = md.fuse(hor, ver, params, cfg)
+    tokens = md.fuse(hor, ver, params)
     assert tokens.data.shape[1] * tokens.data.shape[2] == 1024
 
 

@@ -372,26 +372,28 @@ def test_train_records_validation_mae():
     assert all(e.val_mae is not None and np.isfinite(e.val_mae) for e in history)
 
 
-def test_train_diverged_loss_aborts():
+def test_train_diverged_loss_aborts(monkeypatch):
     dataset = tiny_dataset(6)
     cfg = md.desk_config()
     poisoned = md.init_params(cfg, seed=0)
     poisoned["head.out.b"].data[:] = 1e200
+    monkeypatch.setattr(md, "init_params", lambda cfg, seed: poisoned)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=1, seed=0)
     with np.errstate(over="ignore"), pytest.raises(DivergedLoss):
-        tr.train(dataset, cfg, tcfg, tr.LossConfig(), init=poisoned)
+        tr.train(dataset, cfg, tcfg, tr.LossConfig())
 
 
-def test_train_non_finite_parameters_abort():
+def test_train_non_finite_parameters_abort(monkeypatch):
     # NaN stem weights make NaN conv maps, but the ReLU after the pool turns
     # them into zeros, so every loss stays finite while the weights stay NaN
     dataset = tiny_dataset(6)
     cfg = md.desk_config()
     poisoned = md.init_params(cfg, seed=0)
     poisoned["stem.hor.w"].data[0] = np.nan
+    monkeypatch.setattr(md, "init_params", lambda cfg, seed: poisoned)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, seed=0)
     with pytest.raises(DivergedLoss, match="parameters after epoch 0"):
-        tr.train(dataset, cfg, tcfg, tr.LossConfig(), init=poisoned)
+        tr.train(dataset, cfg, tcfg, tr.LossConfig())
 
 
 def test_train_divergence_raises_without_numpy_warnings():
