@@ -3,9 +3,10 @@
 Everything is float64. Each operation records its parents and a
 vector-Jacobian closure on the output tensor; backward() topologically
 orders the reachable graph (the tape) and accumulates gradients into the
-leaves. Running a forward pass twice simply builds two disjoint graphs, so
-no explicit clearing is needed; inside `with no_grad():` nothing is
-recorded, so an inference pass keeps no closures or inputs alive.
+leaves, releasing each node as it walks past it: a graph can be
+backpropagated once (again raises GraphReleased), and a training step
+holds only its own graph. Inside `with no_grad():` nothing is recorded, so
+an inference pass keeps no closures or inputs alive.
 Broadcasting is supported for the elementwise ops (gradients are summed
 back over broadcast axes); matmul requires explicit shapes beyond the
 weight-matrix and equal-batch cases. linear(x, w, b) is x @ w + b as one
@@ -16,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    GraphReleased,
     InvalidProbability,
     IndivisibleShape,
     NonScalarLoss,
@@ -101,6 +103,10 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _released(g):
+    raise GraphReleased("this graph was already backpropagated and released")
+
+
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
     if loss.data.size != 1:
@@ -120,8 +126,11 @@ def backward(loss: Tensor):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
+    # Nodes are popped children first, so a node is released, and freed, as
+    # soon as its vjp has run; the ids in `grads` are of nodes still queued.
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -130,7 +139,9 @@ def backward(loss: Tensor):
                 node.grad = np.zeros_like(node.data)
             node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        parents, vjp = node._parents, node._vjp
+        node._parents, node._vjp = (), _released
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

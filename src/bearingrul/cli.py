@@ -10,8 +10,9 @@ artifacts byte for byte. A run removes any old manifest.json, writes into
 a `.stage-*` directory inside --outdir and, only on success, moves the
 staged artifacts into --outdir, manifest.json last. A killed process may
 leave a `.stage-*` directory, never a partial file under an artifact's
-name. On failure the process exits 2 (usage), 3 (data error) or 4
-(numeric error) with a single machine-parseable line on stderr.
+name; the next run into that --outdir removes it. On failure the process
+exits 2 (usage), 3 (data error) or 4 (numeric error) with a single
+machine-parseable line on stderr.
 """
 
 import argparse
@@ -254,6 +255,7 @@ def cmd_exp_loss(cfg, out: Path):
         lcfg = training.LossConfig(kind=kind, lam=cfg["lam"])
         params, history = training.train(train_set, mcfg, tcfg, lcfg)
         preds = model.predict_batch(params, mcfg, val_set)
+        del params  # free this twin's weights and gradients before the next
         report[kind] = training.metrics_report(
             training.PredictionBatch(preds, targets))
         _write_text(out / f"history_{kind}.csv", _csv(
@@ -457,6 +459,8 @@ def execute(command: str, cfg: dict, outdir) -> None:
     outdir = Path(outdir)
     (outdir / "manifest.json").unlink(missing_ok=True)
     outdir.mkdir(parents=True, exist_ok=True)
+    for stale in outdir.glob(".stage-*"):  # left by a killed run
+        shutil.rmtree(stale, ignore_errors=True)
     started = time.time()
     with tempfile.TemporaryDirectory(prefix=".stage-", dir=outdir) as tmp:
         stage = Path(tmp)

@@ -89,6 +89,10 @@ class NonScalarLoss(ValueError, BearingRulError):
     pass
 
 
+class GraphReleased(ValueError, BearingRulError):
+    """backward() reached a node of a graph it already walked and released."""
+
+
 # --- model ---
 
 class IndivisibleGrid(ValueError, BearingRulError):

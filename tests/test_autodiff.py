@@ -4,6 +4,7 @@ import pytest
 import bearingrul.autodiff as ad
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import (
+    GraphReleased,
     IndivisibleShape,
     InvalidProbability,
     NonScalarLoss,
@@ -109,6 +110,27 @@ def test_two_forwards_are_independent_graphs():
     x.grad = None
     ad.backward(ad.total(second))
     np.testing.assert_allclose(x.grad, [32.0])
+
+
+def test_backward_releases_the_graph_it_walks():
+    x = t([1.0, -2.0, 3.0])
+    w = t([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
+    h = ad.relu(ad.matmul(ad.reshape(ad.square(x), (1, 3)), w))
+    loss = ad.total(ad.add(h, h))
+    interior, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and all(n is not node for n in interior):
+            interior.append(node)
+            stack.extend(node._parents)
+    assert len(interior) == 6
+    ad.backward(loss)
+    once_x, once_w = x.grad.copy(), w.grad.copy()
+    assert all(node._parents == () for node in interior)
+    with pytest.raises(GraphReleased):
+        ad.backward(loss)  # a second pass would double every leaf gradient
+    assert x.grad.tobytes() == once_x.tobytes()
+    assert w.grad.tobytes() == once_w.tobytes()
 
 
 def test_forward_determinism():

@@ -5,13 +5,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bearingrul import cli, dataio, features as ft, model as md, plotting
+from bearingrul import cli, dataio, features as ft, model as md, plotting, training
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -215,6 +216,22 @@ def test_exp_loss_report(dataset_path, tmp_path):
     assert (tmp_path / "history_custom.csv").exists()
 
 
+def test_exp_loss_frees_the_first_twin_before_training_the_second(
+        dataset_path, tmp_path, monkeypatch):
+    train, twins = training.train, []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in twins)
+        params, history = train(*args, **kwargs)
+        twins.append(weakref.ref(params))
+        return params, history
+
+    monkeypatch.setattr(training, "train", tracked)
+    assert run_cli("exp-loss", "--dataset", str(dataset_path), "--outdir",
+                   str(tmp_path), "--epochs", "1", "--seed", "1") == 0
+    assert len(twins) == 2
+
+
 def test_config_file_with_flag_override(record_dir, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"stride": 3, "window": 10}))
@@ -275,6 +292,15 @@ def test_failed_train_keeps_the_earlier_artifacts(dataset_path, checkpoint_path,
         assert (out / name).read_bytes() == blob
     assert not (out / "manifest.json").exists()
     assert not list(out.glob(".stage-*"))
+
+
+def test_a_run_sweeps_stages_left_by_a_killed_run(record_dir, tmp_path):
+    out = tmp_path / "out"
+    (out / ".stage-old").mkdir(parents=True)
+    (out / ".stage-old" / "partial.bin").write_bytes(b"\0" * 64)
+    assert run_cli("ingest", "--input", str(record_dir), "--outdir", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "record_summary.json"]
 
 
 def test_synth_replaces_the_earlier_record(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,34 @@ def test_backward_reaches_every_parameter(cfg):
     params.zero_grad()
     backward()
     assert params.grad.tobytes() == fresh.tobytes()
+
+
+def test_two_train_steps_hold_one_graph_at_a_time():
+    """Step k's graph is gone before step k+1's forward, although `train`
+    still has step k's preds and loss bound while it runs that forward."""
+    cfg, tcfg = md.desk_config(), tr.TrainConfig()
+    params = md.init_params(cfg, seed=0)
+    rng = np.random.default_rng(6)
+    hor, ver = rng.random((2, 8, 1, cfg.input_side, cfg.input_side))
+    labels = rng.random(8)
+    state = tr.AdamState(params.flat.size)
+    params.zero_grad()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for step in range(2):
+            preds = md.forward_batch(params, cfg, hor, ver, training=True, rng=step)
+            loss = tr.loss_node(preds, labels, tr.LossConfig())
+            if step == 0:
+                graph = tracemalloc.get_traced_memory()[0] - base
+            params.zero_grad()
+            ad.backward(loss)
+            tr.adam_step(params.flat, params.grad, state, tcfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert graph > 10e6  # the desk graph at batch 8 is about 23 MB
+    assert peak < 1.5 * graph
 
 
 # --- training loop ---
