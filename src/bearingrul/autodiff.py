@@ -1,12 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Everything is float64. Each operation records its parents and a
-vector-Jacobian closure on the output tensor; backward() topologically
-orders the reachable graph (the tape) and accumulates gradients into the
-leaves, releasing each node as it walks past it: a graph can be
-backpropagated once (again raises GraphReleased), and a training step
-holds only its own graph. Inside `with no_grad():` nothing is recorded, so
-an inference pass keeps no closures or inputs alive.
+Everything is float64. A recorded op gives its output tensor a graph node,
+`_Node(parents, vjp)`, that holds no array of its own. Each parent entry is
+the parent's node, the parent tensor itself for a leaf that requires grad,
+or None for a constant; the vector-Jacobian closure captures only the
+arrays and shapes its backward reads. So the graph never keeps a tensor's
+.data alive: an output that no vjp saved (a residual sum, a reshaped copy,
+a pooled map) is freed during forward as soon as the caller drops it.
+backward() topologically orders the nodes reachable from the loss (the
+tape) and accumulates gradients into the leaves, releasing each node as it
+walks past it: a graph can be backpropagated once (again raises
+GraphReleased), and a training step holds only its own graph. Inside
+`with no_grad():` nothing is recorded, so an inference pass keeps no
+closures or inputs alive.
 Broadcasting is supported for the elementwise ops (gradients are summed
 back over broadcast axes); matmul requires explicit shapes beyond the
 weight-matrix and equal-batch cases. linear(x, w, b) is x @ w + b as one
@@ -27,15 +33,37 @@ from .errors import (
 LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
 
 
+class _Node:
+    """One recorded op: parent entries and the vjp closure, no output array."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
-        self._vjp = None
+        self._node = None  # set on the output of a recorded op
+
+    @property
+    def _vjp(self):
+        """The recording op's vjp closure; None on a leaf or a constant.
+
+        Reads and writes _node.vjp. perfbench/tracing.py times backward per
+        op by wrapping exactly this slot, so it keeps its name and setter.
+        """
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self):
@@ -70,13 +98,24 @@ class no_grad:
         no_grad.recording = self._saved
 
 
+def _taped(parents) -> bool:
+    """Whether an op on these parents is recorded."""
+    return no_grad.recording and any(p.requires_grad for p in parents)
+
+
+def _entry(t: Tensor):
+    """A parent's entry in a node: its node, itself as a leaf, or None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _result(data, parents, vjp) -> Tensor:
     """Record the op only when recording and some parent is on the tape."""
     out = Tensor(data)
-    if no_grad.recording and any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(tuple(_entry(p) for p in parents), vjp)
     return out
 
 
@@ -113,36 +152,39 @@ def backward(loss: Tensor):
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    # topological order of the graph reachable from the loss, leaves first
-    order, seen, stack = [], set(), [(loss, False)]
+    # topological order of the entries reachable from the loss, leaves
+    # first: nodes, and leaf tensors, which have no parents
+    root = _entry(loss)
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(entry)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if entry is None or id(entry) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        seen.add(id(entry))
+        stack.append((entry, True))
+        if isinstance(entry, _Node):
+            for p in entry.parents:
+                stack.append((p, False))
     # Nodes are popped children first, so a node is released, and freed, as
-    # soon as its vjp has run; the ids in `grads` are of nodes still queued.
-    grads = {id(loss): np.ones_like(loss.data)}
+    # soon as its vjp has run; the ids in `grads` are of entries still queued.
+    grads = {id(root): np.ones_like(loss.data)}
     while order:
-        node = order.pop()
-        g = grads.pop(id(node), None)
+        entry = order.pop()
+        g = grads.pop(id(entry), None)
         if g is None:
             continue
-        if node._vjp is None:  # a leaf: add in place, into whatever .grad views
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+        if not isinstance(entry, _Node):  # a leaf: add in place, into its .grad
+            if entry.grad is None:
+                entry.grad = np.zeros_like(entry.data)
+            entry.grad += g
             continue
-        parents, vjp = node._parents, node._vjp
-        node._parents, node._vjp = (), _released
+        parents, vjp = entry.parents, entry.vjp
+        entry.parents, entry.vjp = (), _released
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             if key in grads:
@@ -157,23 +199,30 @@ def backward(loss: Tensor):
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
+    sa, sb = a.data.shape, b.data.shape
     return _result(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(g, b.data.shape)))
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = _wrap(a), _wrap(b)
+    sa, sb = a.data.shape, b.data.shape
     return _result(a.data - b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(-g, b.data.shape)))
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
+    """a * b; each operand is kept only if the other one needs a gradient."""
     a, b = _wrap(a), _wrap(b)
-    return _result(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
+
+    def vjp(g):
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
+
+    return _result(a.data * b.data, (a, b), vjp)
 
 
 def relu(a):
@@ -184,7 +233,8 @@ def relu(a):
 
 def square(a):
     a = _wrap(a)
-    return _result(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+    ad = a.data
+    return _result(ad * ad, (a,), lambda g: (2.0 * ad * g,))
 
 
 def _check_matmul(ad, bd):
@@ -232,17 +282,18 @@ def linear(x, w, b):
                             f"got {wd.shape} and {b.data.shape}")
     out = xd @ wd
     out += b.data
+    sb = b.data.shape
 
     def vjp(g):
-        return (*_weight_vjp(xd, wd, g), _unbroadcast(g, b.data.shape))
+        return (*_weight_vjp(xd, wd, g), _unbroadcast(g, sb))
 
     return _result(out, (x, w, b), vjp)
 
 
 def reshape(a, shape):
     a = _wrap(a)
-    return _result(a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(a.data.shape),))
+    sa = a.data.shape
+    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def transpose(a, axes):
@@ -270,24 +321,26 @@ def concat(tensors, axis: int = 0):
 
 def mean(a, axis=None, keepdims: bool = False):
     a = _wrap(a)
+    sa = a.data.shape
     count = a.data.size if axis is None else (
-        np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)]))
+        np.prod([sa[ax] for ax in np.atleast_1d(axis)]))
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
+        return (np.broadcast_to(g, sa) / count,)
 
     return _result(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def total(a, axis=None, keepdims: bool = False):
     a = _wrap(a)
+    sa = a.data.shape
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, sa).copy(),)
 
     return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -296,9 +349,10 @@ def gather_rows(table, index):
     """out[i] = table[index[i]]; backward scatter-adds into the table."""
     table = _wrap(table)
     index = np.asarray(index, dtype=np.intp)
+    st = table.data.shape
 
     def vjp(g):
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(st)
         np.add.at(dt, index, g)
         return (dt,)
 
@@ -327,9 +381,10 @@ def layer_norm(a, gamma, beta):
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     sum_axes = tuple(range(a.data.ndim - 1))
+    gd = gamma.data
 
     def vjp(g):
-        gg = g * gamma.data
+        gg = g * gd
         dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
         return (dx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes))
@@ -378,15 +433,17 @@ def conv2d(x, w, b):
     out = cols @ wmat.T
     out += b.data  # in place: `+ b` would hold a second (N, H*W, F) array
     out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    # backward reads cols and wmat, not xp or the output
+    xp_shape, w_shape, x_grad = xp.shape, w.data.shape, x.requires_grad
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, ho * wo, f)
-        dw = (g2.reshape(-1, f).T @ cols.reshape(-1, c * kh * kw)).reshape(w.data.shape)
+        dw = (g2.reshape(-1, f).T @ cols.reshape(-1, c * kh * kw)).reshape(w_shape)
         db = g2.sum(axis=(0, 1))
         dx = None
-        if x.requires_grad:
+        if x_grad:
             dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp_shape)
             for u in range(kh):
                 for v in range(kw):
                     dxp[:, :, u:u + ho, v:v + wo] += dcols[:, :, :, :, u, v].transpose(
@@ -415,20 +472,24 @@ def maxpool2d(x):
     Works on the (N, C, H/2, 2, W/2, 2) window view of the input, so the
     output and the input gradient keep the input's layout (channels-last
     conv maps stay channels-last) and nothing is copied into window order.
+    When recording, forward marks each window's first hit, so the graph
+    keeps a 1-byte mask per input element instead of the input.
     """
     x = _wrap(x)
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise IndivisibleShape(f"H and W must be even, got {h}x{w}")
     win, out = _max_2x2(x.data)
+    if not _taped((x,)):
+        return Tensor(out)
+    hit = win == out[:, :, :, None, :, None]
+    free = ~hit[..., 0, :, 0]
+    for i, j in ((0, 1), (1, 0), (1, 1)):  # keep each window's first hit
+        later = hit[..., i, :, j]
+        later &= free
+        free &= ~later
 
     def vjp(g):
-        hit = win == out[:, :, :, None, :, None]
-        free = ~hit[..., 0, :, 0]
-        for i, j in ((0, 1), (1, 0), (1, 1)):  # keep each window's first hit
-            later = hit[..., i, :, j]
-            later &= free
-            free &= ~later
         # _keep, not g * hit, which would write -0.0 beside a negative g
         dx = _keep(hit, g[:, :, :, None, :, None])
         return (dx.reshape(n, c, h, w),)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,20 +119,53 @@ def test_backward_releases_the_graph_it_walks():
     w = t([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
     h = ad.relu(ad.matmul(ad.reshape(ad.square(x), (1, 3)), w))
     loss = ad.total(ad.add(h, h))
-    interior, stack = [], [loss]
+    interior, stack = [], [loss._node]
     while stack:
         node = stack.pop()
-        if node._vjp is not None and all(n is not node for n in interior):
+        if isinstance(node, ad._Node) and all(n is not node for n in interior):
             interior.append(node)
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     assert len(interior) == 6
     ad.backward(loss)
     once_x, once_w = x.grad.copy(), w.grad.copy()
-    assert all(node._parents == () for node in interior)
+    assert all(node.parents == () for node in interior)
     with pytest.raises(GraphReleased):
         ad.backward(loss)  # a second pass would double every leaf gradient
     assert x.grad.tobytes() == once_x.tobytes()
     assert w.grad.tobytes() == once_w.tobytes()
+
+
+def test_graph_keeps_only_what_backward_reads():
+    """No vjp reads a conv2d output that fed maxpool2d, a layer_norm input or
+    an add output, so the graph frees them during forward, and the
+    gradients match a backward whose arrays were all kept alive."""
+    rng = np.random.default_rng(21)
+    leaves = [t(rng.normal(size=shape)) for shape in
+              ((2, 1, 6, 6), (3, 1, 3, 3), (3,), (3,), (3,))]
+    shift, weights = rng.normal(size=(2, 3, 3, 3)), rng.normal(size=(2, 3, 3, 3))
+
+    def forward():
+        x, w, b, gamma, beta = leaves
+        conv = ad.conv2d(x, w, b)
+        normed_in = ad.add(ad.relu(ad.maxpool2d(conv)), shift)
+        residual = ad.add(normed_in, ad.layer_norm(normed_in, gamma, beta))
+        loss = ad.total(ad.mul(residual, weights))
+        return loss, (conv, normed_in, residual)
+
+    def gradients(loss):
+        for leaf in leaves:
+            leaf.grad = None
+        ad.backward(loss)
+        return [leaf.grad.tobytes() for leaf in leaves]
+
+    loss, _kept = forward()  # the reference keeps every array alive
+    want = gradients(loss)
+    loss, freed = forward()
+    owners = [weakref.ref(a.data if a.data.base is None else a.data.base)
+              for a in freed]
+    del freed
+    assert [ref() is None for ref in owners] == [True, True, True]
+    assert gradients(loss) == want
 
 
 def test_forward_determinism():
@@ -412,7 +447,7 @@ def test_no_grad_records_no_graph():
         out = ad.relu(ad.matmul(a, b))
         loss = ad.total(out)
     for node in (out, loss):
-        assert not node.requires_grad and node._parents == () and node._vjp is None
+        assert not node.requires_grad and node._node is None and node._vjp is None
     ad.backward(loss)
     assert a.grad is None and b.grad is None
     np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
@@ -428,7 +463,7 @@ def test_no_grad_restores_the_flag_after_an_exception():
             assert not ad.no_grad.recording
             ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
     assert ad.no_grad.recording
-    assert ad.relu(t([1.0]))._parents
+    assert ad.relu(t([1.0]))._node is not None
 
 
 # --- dropout semantics ---

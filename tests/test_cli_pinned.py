@@ -26,7 +26,8 @@ DEFAULT_CONFIGS = {
     },
     "featurize": {
         "input": None, "hor_col": 4, "ver_col": 5, "fpt": "auto", "window": 10,
-        "stride": 5, "level": 3, "denoise": True, "baseline": None,
+        "stride": 5, "level": 3, "denoise": True, "channel": "horizontal",
+        "baseline": None, "sigma": 3.0, "consecutive": 3,
     },
     "train": {
         "dataset": None, "preset": "desk", "loss": "custom", "lam": 1.0,

@@ -406,7 +406,7 @@ def test_predict_batch_records_no_graph(desk, monkeypatch):
     monkeypatch.setattr(md, "forward_batch", spy)
     md.predict_batch(params, cfg, samples, batch_size=2)
     assert len(outputs) == 2
-    assert all(not o.requires_grad and o._parents == () for o in outputs)
+    assert all(not o.requires_grad and o._node is None for o in outputs)
     assert ad.no_grad.recording
 
 

@@ -313,7 +313,7 @@ def test_two_train_steps_hold_one_graph_at_a_time():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert graph > 10e6  # the desk graph at batch 8 is about 23 MB
+    assert 5e6 < graph < 12e6  # the desk graph at batch 8 is about 10 MB
     assert peak < 1.5 * graph
 
 
