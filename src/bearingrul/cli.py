@@ -112,19 +112,14 @@ def cmd_ingest(cfg, out: Path):
     return [cfg["input"]]
 
 
-def _fpt_config(cfg):
-    """The onset detector's config from the _FPT_FLAGS values."""
-    return features.FptConfig(baseline_count=cfg["baseline"],
-                              sigma_multiplier=cfg["sigma"],
-                              consecutive_required=cfg["consecutive"],
-                              channel_policy=cfg["channel"])
-
-
 def cmd_fpt(cfg, out: Path):
     record = _load_record(cfg)
     if cfg["denoise"]:
         record = features.preprocess_record(record)
-    fcfg = _fpt_config(cfg)
+    fcfg = features.FptConfig(baseline_count=cfg["baseline"],
+                              sigma_multiplier=cfg["sigma"],
+                              consecutive_required=cfg["consecutive"],
+                              channel_policy=cfg["channel"])
     fpt, channel = features.detect_fpt_record(record, fcfg)
     series = features.kurtosis_series(record, channel)
     baseline, mu, sigma, lo, hi = features.healthy_band(series, fcfg)
@@ -146,9 +141,11 @@ def cmd_fpt(cfg, out: Path):
 
 
 def cmd_featurize(cfg, out: Path):
+    # Built for every --fpt, so a bad --baseline exits 2 even when unused.
+    fcfg = features.FptConfig(baseline_count=cfg["baseline"])
     record = _load_record(cfg)
     if cfg["fpt"] == "auto":
-        fpt, _ = features.detect_fpt_record(record, _fpt_config(cfg))
+        fpt, _ = features.detect_fpt_record(record, fcfg)
         if fpt is None:
             raise DataError("no degradation onset detected; cannot label")
     else:
@@ -293,12 +290,6 @@ _DATASET = _needs("dataset", "dataset container path")
 _CHECKPOINT = _needs("checkpoint", "checkpoint path")
 _HOR_COL = Flag("hor-col", int, 4, "horizontal acceleration column index")
 _VER_COL = Flag("ver-col", int, 5, "vertical acceleration column index")
-_FPT_FLAGS = (  # features.FptConfig, for fpt and featurize --fpt auto
-    Flag("channel", str, "horizontal", "horizontal, vertical or either"),
-    Flag("baseline", int, None, "healthy baseline snapshot count"),
-    Flag("sigma", float, 3.0, "band width in baseline sigmas"),
-    Flag("consecutive", int, 3, "consecutive exceedances required"),
-)
 _PRESET = Flag("preset", str, "desk", "model preset: desk or paper")
 _LAM = Flag("lam", float, 1.0, "late-prediction penalty weight (lambda)")
 _SPLIT = "in [0, 0.5]; the held-out share is 1/round(1/f)"
@@ -324,7 +315,11 @@ COMMANDS = {
         _HOR_COL, _VER_COL,
     )),
     "fpt": Command(cmd_fpt, "kurtosis series and degradation-onset report", (
-        _needs("input", "bearing directory"), _HOR_COL, _VER_COL, *_FPT_FLAGS,
+        _needs("input", "bearing directory"), _HOR_COL, _VER_COL,
+        Flag("channel", str, "horizontal", "horizontal, vertical or either"),
+        Flag("baseline", int, None, "healthy baseline snapshot count"),
+        Flag("sigma", float, 3.0, "band width in baseline sigmas"),
+        Flag("consecutive", int, 3, "consecutive exceedances required"),
         Flag("denoise", bool, False, "denoise snapshots before kurtosis"),
     )),
     "featurize": Command(cmd_featurize, "build a labeled dataset from a bearing "
@@ -335,7 +330,7 @@ COMMANDS = {
         Flag("stride", int, 5, "window stride in snapshots"),
         Flag("level", int, 3, "wavelet packet decomposition level"),
         Flag("denoise", bool, True, "apply the denoising pipeline"),
-        *_FPT_FLAGS,
+        Flag("baseline", int, None, "baseline count for auto onset detection"),
     )),
     "train": Command(cmd_train, "train a model on a labeled dataset", (
         _DATASET, _PRESET,

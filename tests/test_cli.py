@@ -132,45 +132,21 @@ def test_fpt_and_featurize_read_the_columns_ingest_reads(record_dir, tmp_path):
 
 
 def test_manifest_without_column_keys_reruns_byte_exactly(record_dir, tmp_path):
-    """A manifest recorded before fpt and featurize had --hor-col/--ver-col,
-    or before featurize had fpt's --sigma, --consecutive and --channel,
-    reruns with the defaults."""
+    """A manifest recorded before fpt and featurize had --hor-col/--ver-col
+    reruns with the defaults, 4 and 5."""
     for command, artifacts in SIGNAL_ARTIFACTS.items():
-        dropped = {"hor_col": 4, "ver_col": 5}
-        if command == "featurize":
-            dropped.update(sigma=3.0, consecutive=3, channel="horizontal")
         first, again = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
         assert run_cli(command, "--input", str(record_dir), "--outdir",
                        str(first)) == 0
         manifest = json.loads((first / "manifest.json").read_text())
-        for key in dropped:
-            del manifest["config"][key]
+        del manifest["config"]["hor_col"], manifest["config"]["ver_col"]
         (first / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("rerun", str(first / "manifest.json"), "--outdir",
                        str(again)) == 0
         rerun_config = json.loads((again / "manifest.json").read_text())["config"]
-        assert {key: rerun_config[key] for key in dropped} == dropped
+        assert (rerun_config["hor_col"], rerun_config["ver_col"]) == (4, 5)
         for artifact in artifacts:
             assert (first / artifact).read_bytes() == (again / artifact).read_bytes()
-
-
-FPT_FLAGS = ("--sigma", "2", "--consecutive", "1", "--channel", "vertical")
-
-
-def test_featurize_labels_from_the_onset_fpt_reports(record_dir, tmp_path):
-    """featurize --fpt auto takes fpt's detector flags and finds its onset."""
-    onsets = {}
-    for name, flags in (("default", ()), ("flagged", FPT_FLAGS)):
-        fpt_out, feat_out = tmp_path / f"fpt-{name}", tmp_path / f"feat-{name}"
-        assert run_cli("fpt", "--input", str(record_dir), "--outdir",
-                       str(fpt_out), *flags) == 0
-        assert run_cli("featurize", "--input", str(record_dir), "--outdir",
-                       str(feat_out), *flags) == 0
-        reported = json.loads((fpt_out / "fpt.json").read_text())["fpt"]
-        sidecar = json.loads((feat_out / "dataset.bin.json").read_text())
-        assert sidecar["fpt"] == reported
-        onsets[name] = reported
-    assert onsets["flagged"] != onsets["default"]
 
 
 def test_featurize_dataset_contents(dataset_path):
@@ -457,7 +433,8 @@ def test_exp_loss_split_that_holds_out_nothing_exits_three(dataset_path, tmp_pat
     ("featurize", "input", ["--fpt", "abc"]),
     ("fpt", "input", ["--sigma", "-1"]),
     ("fpt", "input", ["--sigma", "0"]),
-    ("fpt", "input", ["--sigma", "nan"])])
+    ("fpt", "input", ["--sigma", "nan"]),
+    ("featurize", "input", ["--fpt", "15", "--baseline", "2"])])
 def test_invalid_option_value_exits_two(command, source, options, record_dir,
                                         dataset_path, tmp_path, capsys):
     path = record_dir if source == "input" else dataset_path

@@ -26,8 +26,7 @@ DEFAULT_CONFIGS = {
     },
     "featurize": {
         "input": None, "hor_col": 4, "ver_col": 5, "fpt": "auto", "window": 10,
-        "stride": 5, "level": 3, "denoise": True, "channel": "horizontal",
-        "baseline": None, "sigma": 3.0, "consecutive": 3,
+        "stride": 5, "level": 3, "denoise": True, "baseline": None,
     },
     "train": {
         "dataset": None, "preset": "desk", "loss": "custom", "lam": 1.0,
