@@ -8,9 +8,13 @@ arrays and shapes its backward reads. So the graph never keeps a tensor's
 .data alive: an output that no vjp saved (a residual sum, a reshaped copy,
 a pooled map) is freed during forward as soon as the caller drops it.
 backward() topologically orders the nodes reachable from the loss (the
-tape) and accumulates gradients into the leaves, releasing each node as it
-walks past it: a graph can be backpropagated once (again raises
-GraphReleased), and a training step holds only its own graph. Inside
+tape) and releases each node as it walks past it: a graph can be
+backpropagated once (again raises GraphReleased), and a training step holds
+only its own graph. A leaf's gradient is added into its .grad (zeros when
+it is None) as soon as a vjp returns it, so no leaf gradient waits for the
+end of the walk. A leaf used by several ops thus gets (G + g1) + g2, not
+G + (g1 + g2); from zeroed grads the two give the same bits, signed zeros
+included. Inside
 `with no_grad():` nothing is recorded, so an inference pass keeps no
 closures or inputs alive.
 Broadcasting is supported for the elementwise ops (gradients are summed
@@ -152,45 +156,46 @@ def backward(loss: Tensor):
         raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    # topological order of the entries reachable from the loss, leaves
-    # first: nodes, and leaf tensors, which have no parents
-    root = _entry(loss)
+    # a loss that is itself a leaf gets a one-parent identity node as root
+    root = loss._node or _Node((loss,), lambda g: (g,))
+    # topological order of the nodes reachable from the loss, inputs first
     order, seen, stack = [], set(), [(root, False)]
     while stack:
-        entry, expanded = stack.pop()
+        node, expanded = stack.pop()
         if expanded:
-            order.append(entry)
+            order.append(node)
             continue
-        if entry is None or id(entry) in seen:
+        if id(node) in seen:
             continue
-        seen.add(id(entry))
-        stack.append((entry, True))
-        if isinstance(entry, _Node):
-            for p in entry.parents:
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if isinstance(p, _Node):
                 stack.append((p, False))
     # Nodes are popped children first, so a node is released, and freed, as
-    # soon as its vjp has run; the ids in `grads` are of entries still queued.
+    # soon as its vjp has run; the ids in `grads` are of nodes still queued.
     grads = {id(root): np.ones_like(loss.data)}
     while order:
-        entry = order.pop()
-        g = grads.pop(id(entry), None)
+        node = order.pop()
+        g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not isinstance(entry, _Node):  # a leaf: add in place, into its .grad
-            if entry.grad is None:
-                entry.grad = np.zeros_like(entry.data)
-            entry.grad += g
-            continue
-        parents, vjp = entry.parents, entry.vjp
-        entry.parents, entry.vjp = (), _released
+        parents, vjp = node.parents, node.vjp
+        node.parents, node.vjp = (), _released
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or parent is None:
+                continue
+            if not isinstance(parent, _Node):  # a leaf: into its .grad now
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += pg
                 continue
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+        pg = None  # the last leaf gradient is freed before the next vjp runs
 
 
 # ---------------------------------------------------------------------------

@@ -87,17 +87,18 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     files = sorted(root.glob("acc*.csv"), key=_numeric_suffix)
     if not files:
         raise MissingDirectory(f"no acceleration CSVs under {root}")
-    hor_snaps, ver_snaps = [], []
-    for f in files:
+    for i, f in enumerate(files):
         hor, ver = _parse_acc_csv(f, hor_col, ver_col)
-        if hor_snaps and hor.size != hor_snaps[0].size:
+        if i == 0:  # the first file sizes the record; each row is filled in place
+            horizontal = np.empty((len(files), hor.size))
+            vertical = np.empty((len(files), hor.size))
+        elif hor.size != horizontal.shape[1]:
             raise InconsistentSnapshotLength(
-                f"{f.name} has {hor.size} rows, expected {hor_snaps[0].size}")
-        hor_snaps.append(hor)
-        ver_snaps.append(ver)
+                f"{f.name} has {hor.size} rows, expected {horizontal.shape[1]}")
+        horizontal[i] = hor
+        vertical[i] = ver
     m = re.match(r"Bearing(\d+)_(\d+)", root.name)
-    return BearingRecord(horizontal=np.stack(hor_snaps),
-                         vertical=np.stack(ver_snaps),
+    return BearingRecord(horizontal=horizontal, vertical=vertical,
                          bearing_id=root.name,
                          condition_id=int(m.group(1)) if m else 0)
 
@@ -171,34 +172,32 @@ def _number(field: str) -> float:
     return float(field)
 
 
-def _line_times(n: int, m: int):
-    """The timestamp fields of every line of an (n, m) record's CSVs.
+def _line_times(t0: float, offsets: np.ndarray):
+    """The timestamp fields of the lines of one snapshot's CSV.
 
-    Line j of snapshot i is at t = i * PRONOSTIA_PERIOD_S + j /
-    PRONOSTIA_SAMPLE_RATE. Returns, per snapshot, its runs of lines that
-    share whole hours, minutes and seconds, as (first, stop, "h,m,s,"),
-    and the (n, m) microseconds past the whole second.
+    Line j is at t = t0 + offsets[j], where t0 = i * PRONOSTIA_PERIOD_S for
+    snapshot i and offsets = arange(m) / PRONOSTIA_SAMPLE_RATE. Returns
+    the snapshot's runs of lines that share whole hours, minutes and
+    seconds, as (first, stop, "h,m,s,"), and the m microseconds past the
+    whole second.
     """
-    t = (np.arange(n)[:, None] * PRONOSTIA_PERIOD_S
-         + np.arange(m) / PRONOSTIA_SAMPLE_RATE)
+    t = t0 + offsets
     h, t = np.divmod(t, 3600.0)
     mins, s = np.divmod(t, 60.0)
     whole = np.floor(s)
     us = np.subtract(s, whole, out=s)
     us *= 1e6
-    # A run starts at each snapshot and wherever a second, minute or hour
+    # A run starts at the first line and wherever a second, minute or hour
     # begins; a snapshot longer than a second holds several.
-    new = np.ones((n, m), dtype=bool)
-    new[:, 1:] = ((h[:, 1:] != h[:, :-1]) | (mins[:, 1:] != mins[:, :-1])
-                  | (whole[:, 1:] != whole[:, :-1]))
+    new = np.ones(t.size, dtype=bool)
+    new[1:] = ((h[1:] != h[:-1]) | (mins[1:] != mins[:-1])
+               | (whole[1:] != whole[:-1]))
     starts = np.flatnonzero(new)
-    runs = [[] for _ in range(n)]
-    for start, stop, hh, mm, ss in zip(
-            starts.tolist(), starts[1:].tolist() + [n * m],
-            h.flat[starts].tolist(), mins.flat[starts].tolist(),
-            whole.flat[starts].tolist()):
-        i, j = divmod(start, m)
-        runs[i].append((j, stop - i * m, f"{int(hh)},{int(mm)},{int(ss)},"))
+    runs = [(first, stop, f"{int(hh)},{int(mm)},{int(ss)},")
+            for first, stop, hh, mm, ss in zip(
+                starts.tolist(), starts[1:].tolist() + [t.size],
+                h[starts].tolist(), mins[starts].tolist(),
+                whole[starts].tolist())]
     return runs, us
 
 
@@ -221,19 +220,21 @@ def save_record_csvdir(record: BearingRecord, directory):
     Each line is `h,m,s,us,hor,ver`: the sample's time (see _line_times)
     as whole hours, minutes and seconds and microseconds to one decimal,
     then full-precision repr floats, so ingesting the folder reproduces
-    the record exactly. Returns the paths in snapshot order.
+    the record exactly. Files are built one snapshot at a time, so nothing
+    the size of the record is allocated. Returns the paths in snapshot
+    order.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    runs, us = _line_times(*record.horizontal.shape)
+    offsets = np.arange(record.samples_per_snapshot) / PRONOSTIA_SAMPLE_RATE
     tenths = _Tenths()
     written = []
-    for i, (hor, ver, frac) in enumerate(zip(record.horizontal,
-                                             record.vertical, us)):
+    for i, (hor, ver) in enumerate(zip(record.horizontal, record.vertical)):
+        runs, us = _line_times(i * PRONOSTIA_PERIOD_S, offsets)
         hor, ver = hor.tolist(), ver.tolist()
-        frac = [tenths[u] for u in frac.tolist()]
+        frac = [tenths[u] for u in us.tolist()]
         lines = []
-        for a, b, prefix in runs[i]:
+        for a, b, prefix in runs:
             lines += [f"{prefix}{u},{x!r},{y!r}\n"
                       for u, x, y in zip(frac[a:b], hor[a:b], ver[a:b])]
         path = root / f"acc_{i + 1:05d}.csv"

@@ -175,8 +175,10 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
           loss_cfg: LossConfig = LossConfig(), val_dataset=None):
     """Seeded full training run; returns (params, history).
 
-    Per epoch: shuffle (seeded), then per batch forward -> loss ->
-    backward -> Adam. A non-finite batch loss, or a non-finite parameter
+    Per epoch: shuffle (seeded), then per batch prepare the batch's
+    images (model.prepare_images, as predict_batch does per chunk) ->
+    forward -> loss -> backward -> Adam, so no whole-dataset image array
+    is held. A non-finite batch loss, or a non-finite parameter
     after an epoch, aborts with DivergedLoss; numpy's overflow and
     invalid-value warnings on the way there are silenced, so the error is
     the only report.
@@ -189,10 +191,6 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
         raise EmptyDataset(
             f"batch_size {train_cfg.batch_size} exceeds dataset size {len(dataset)}")
     params = model_mod.init_params(model_cfg, seed=train_cfg.seed)
-    hor = model_mod.prepare_images([s.hor.pixels for s in dataset],
-                                   model_cfg.input_side)
-    ver = model_mod.prepare_images([s.ver.pixels for s in dataset],
-                                   model_cfg.input_side)
     labels = np.array([s.label for s in dataset], dtype=np.float64)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
@@ -207,7 +205,12 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             idx = order[start:start + train_cfg.batch_size]
             drop_rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=train_cfg.seed, spawn_key=(2, step)))
-            preds = model_mod.forward_batch(params, model_cfg, hor[idx], ver[idx],
+            batch = [dataset[i] for i in idx]
+            hor = model_mod.prepare_images([s.hor.pixels for s in batch],
+                                           model_cfg.input_side)
+            ver = model_mod.prepare_images([s.ver.pixels for s in batch],
+                                           model_cfg.input_side)
+            preds = model_mod.forward_batch(params, model_cfg, hor, ver,
                                             training=True, rng=drop_rng)
             loss = loss_node(preds, labels[idx], loss_cfg)
             value = float(loss.data)

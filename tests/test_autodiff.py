@@ -91,6 +91,47 @@ def test_backward_fanout_accumulates():
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
+def test_backward_sums_a_leaf_used_by_two_ops():
+    x = t([1.0, -2.0, 0.5])
+    ad.backward(ad.total(ad.add(ad.mul(x, 3.0), ad.square(x))))
+    np.testing.assert_allclose(x.grad, 3.0 + 2.0 * x.data)
+
+
+def test_backward_of_a_scalar_leaf_gives_one():
+    for data in (2.5, [2.5], [[2.5]]):
+        x = t(data)
+        ad.backward(x)
+        assert x.grad.shape == x.data.shape
+        assert x.grad.tobytes() == np.ones_like(x.data).tobytes()
+
+
+def test_a_leaf_gradient_is_freed_before_the_next_vjp_runs():
+    """w's gradient goes into w.grad when matmul's vjp returns it, not at
+    the end of the walk, so square's vjp, which runs next, finds the array
+    matmul returned already freed."""
+    x, w = t([[1.0, -2.0]]), t([[0.5], [2.0]])
+    h = ad.square(x)
+    out = ad.matmul(h, w)
+    returned, alive = [], []
+
+    def spy(vjp, check):
+        def wrapped(g):
+            if check:
+                alive.append(returned[0]() is not None)
+            grads = vjp(g)
+            if not check:
+                returned.append(weakref.ref(grads[1]))
+            return grads
+        return wrapped
+
+    out._vjp = spy(out._vjp, check=False)
+    h._vjp = spy(h._vjp, check=True)
+    ad.backward(ad.total(out))
+    assert alive == [False]
+    np.testing.assert_allclose(w.grad, h.data.T)
+    np.testing.assert_allclose(x.grad, 2.0 * x.data * w.data.T)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(NonScalarLoss):
         ad.backward(t([1.0, 2.0]))

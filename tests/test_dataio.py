@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,7 +102,8 @@ def test_load_short_row_is_malformed(tmp_path):
 
 def test_load_ragged_snapshots(tmp_path):
     bearing = write_fixture_tree(tmp_path, rows_per_file=(4, 5, 4))
-    with pytest.raises(InconsistentSnapshotLength):
+    with pytest.raises(InconsistentSnapshotLength,
+                       match="^acc_00002.csv has 5 rows, expected 4$"):
         dataio.load_pronostia_bearing(bearing)
 
 
@@ -185,6 +187,43 @@ def test_csv_writer_matches_the_per_line_writer(tmp_path):
         assert fast[0].parent == tmp_path / "fast" / name
         for a, b in zip(fast, slow):
             assert a.read_bytes() == b.read_bytes(), (name, a.name)
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_record():
+    record = dataio.gen_synthetic(dataio.SyntheticConfig(
+        n_snapshots=200, samples_per_snapshot=512, fault_onset_index=100,
+        seed=5))
+    return record, record.horizontal.nbytes + record.vertical.nbytes
+
+
+def test_csv_writer_holds_less_than_the_record(tmp_path):
+    """Line times and text are built one snapshot at a time; whole-record
+    line times peaked at 2.8 times the record's bytes."""
+    record, nbytes = _memory_record()
+    _, peak = _traced_peak(lambda: dataio.save_record_csvdir(record, tmp_path))
+    assert peak < nbytes
+
+
+def test_loader_holds_one_copy_of_the_record(tmp_path):
+    """Each file is parsed into its row of one preallocated array per
+    channel; a list of snapshots plus its stacked copy peaked at 2.2 times
+    the record's bytes."""
+    record, nbytes = _memory_record()
+    dataio.save_record_csvdir(record, tmp_path)
+    back, peak = _traced_peak(lambda: dataio.load_pronostia_bearing(tmp_path))
+    assert back.horizontal.tobytes() == record.horizontal.tobytes()
+    assert back.vertical.tobytes() == record.vertical.tobytes()
+    assert peak < 1.25 * nbytes
 
 
 # --- numpy fast path against the line parser ---
