@@ -120,7 +120,8 @@ def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
     """
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        if not raw.isascii():  # ASCII is UTF-8 as it stands
+            raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = raw[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -130,14 +131,16 @@ def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                cols = np.loadtxt(io.StringIO(text), delimiter=",",
+                # numpy decodes the bytes line by line; a text copy would
+                # hold 4 bytes per character in its buffer.
+                cols = np.loadtxt(io.BytesIO(raw), delimiter=",",
                                   usecols=(hor_col, ver_col), comments=None,
-                                  ndmin=2)
+                                  ndmin=2, encoding="utf-8")
             except (ValueError, OverflowError, Warning):
                 cols = ()
         if len(cols):
             return cols[:, 0], cols[:, 1]
-    return _parse_acc_lines(path, io.StringIO(text, newline=None),
+    return _parse_acc_lines(path, io.StringIO(raw.decode("utf-8"), newline=None),
                             hor_col, ver_col)
 
 

@@ -9,6 +9,7 @@ labels decay linearly from 1 at onset to 0 at failure.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -228,6 +229,16 @@ def normalize_image(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
+@lru_cache(maxsize=8)
+def _resample_grid(m: int, points: int):
+    """Read-only (grid, positions): `points` evenly spaced positions over a
+    length-m band, and the band's own sample positions 0..m-1."""
+    grid = np.linspace(0.0, m - 1, points)
+    positions = np.arange(m, dtype=np.float64)
+    grid.flags.writeable = positions.flags.writeable = False
+    return grid, positions
+
+
 def wpd_image(window_signal, level: int = 3,
               source_window: Optional[Window] = None) -> WpdImage:
     """Level-`level` WPD laid out as row blocks of a 64x64 image.
@@ -240,8 +251,8 @@ def wpd_image(window_signal, level: int = 3,
     n_bands, m = bands.shape
     if n_bands > IMAGE_SIDE:
         raise InvalidConfig(f"level {level} yields more subbands than image rows")
-    grid = np.linspace(0.0, m - 1, IMAGE_SIDE * IMAGE_SIDE // n_bands)
-    raw = np.stack([np.interp(grid, np.arange(m), band) for band in bands])
+    grid, positions = _resample_grid(m, IMAGE_SIDE * IMAGE_SIDE // n_bands)
+    raw = np.stack([np.interp(grid, positions, band) for band in bands])
     return WpdImage(pixels=normalize_image(raw.reshape(IMAGE_SIDE, IMAGE_SIDE)),
                     source_window=source_window)
 

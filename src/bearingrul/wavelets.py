@@ -75,6 +75,15 @@ def _taps(n: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=16)
+def _scatter(n: int) -> np.ndarray:
+    """_taps(n) flattened tap by tap: the output position of every entry of
+    a (10, n/2) contribution array, in the order idwt_level sums them."""
+    idx = _taps(n).T.ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def dwt_level(x):
     """One DB5 analysis step: periodized convolution + downsample by 2.
 
@@ -106,8 +115,10 @@ def idwt_level(approx, detail):
     if approx.size == 0:
         raise EmptyInput("idwt_level on empty coefficients")
     n = 2 * approx.size
-    contrib = np.outer(DB5.lowpass, approx) + np.outer(DB5.highpass, detail)
-    return np.bincount(_taps(n).T.ravel(), weights=contrib.ravel(), minlength=n)
+    # Each entry is the product np.outer forms, and the same sum.
+    contrib = DB5.lowpass[:, None] * approx.ravel()
+    contrib += DB5.highpass[:, None] * detail.ravel()
+    return np.bincount(_scatter(n), weights=contrib.ravel(), minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +159,24 @@ def universal_threshold(detail, n: int) -> float:
         raise EmptyInput("universal_threshold on empty detail band")
     if n < 2:
         raise ValueError("n must be >= 2")
-    sigma = np.median(np.abs(detail)) / 0.6745
+    sigma = _median(np.abs(detail)) / 0.6745
     return float(sigma * np.sqrt(2.0 * np.log(n)))
+
+
+def _median(values):
+    """np.median of a 1-D float64 array, bit for bit, without its wrappers.
+
+    The one partition np.median makes puts the middle value(s) in place and
+    the largest value last; a NaN sorts last and is then the median.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        part = np.partition(values, (half, -1))
+        mid = part[half]
+    else:
+        part = np.partition(values, (half - 1, half, -1))
+        mid = (part[half - 1] + part[half]) / 2.0
+    return part[-1] if np.isnan(part[-1]) else mid
 
 
 def soft_threshold(c, t: float):
@@ -201,7 +228,8 @@ def savgol_filter(x):
     if samples.size < SAVGOL.size:
         raise SignalTooShort(
             f"signal length {samples.size} < window {SAVGOL.size}")
-    padded = np.pad(samples, SAVGOL.size // 2, mode="reflect")
+    # Mirror extension without repeating the edge sample: np.pad's "reflect".
+    padded = np.concatenate((samples[2:0:-1], samples, samples[-2:-4:-1]))
     return np.convolve(padded, SAVGOL[::-1], mode="valid")
 
 
@@ -218,9 +246,10 @@ def kurtosis(x) -> float:
     samples = _as_samples(x)
     if samples.size < 4:
         raise TooShort(f"kurtosis needs at least 4 samples, got {samples.size}")
-    centered = samples - samples.mean()
-    m2 = float((centered ** 2).mean())
+    n = samples.size  # each mean is sum / n, as ndarray.mean divides
+    centered = samples - samples.sum() / n
+    m2 = float((centered ** 2).sum() / n)
     if m2 == 0.0:
         raise ZeroVariance("kurtosis undefined for a constant signal")
-    m4 = float((centered ** 4).mean())
+    m4 = float((centered ** 4).sum() / n)
     return m4 / (m2 * m2)

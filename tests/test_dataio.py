@@ -318,6 +318,29 @@ def test_fast_path_explicit_cases(tmp_path, text, cols, expected):
     assert fast == oracle == expected
 
 
+@pytest.mark.parametrize("char", ["\u00a0", "\u3000", "\u00e9"],
+                         ids=["nbsp", "ideographic-space", "e-acute"])
+def test_a_character_across_byte_50000_gives_the_line_parsers_outcome(
+        tmp_path, char):
+    """numpy decodes the file's bytes itself: line by line here, in 50 000
+    byte chunks when it opens a file by name. A multi-byte character that
+    starts at byte 49 999 still gives the line parser's values or error."""
+    row = "0,0,0,0,1.25,-2.5\n"
+    head = row * (49_900 // len(row))
+    zeros = 49_999 - len(head) - len("0,0,0,0,1")
+    text = head + "0,0,0,0," + "0" * zeros + "1" + char + ",2\n" + row
+    raw = text.encode("utf-8")
+    assert raw.index(char.encode("utf-8")) == 49_999
+    path = tmp_path / "acc_00001.csv"
+    path.write_bytes(raw)
+    fast, oracle = _fast_and_oracle(path, 4, 5)
+    assert fast == oracle
+    if char == "\u00e9":
+        assert fast == ("MalformedRow", head.count("\n") + 1)
+    else:
+        assert len(fast[0]) == 8 * (head.count("\n") + 2)
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_non_utf8_byte_is_a_malformed_row_on_its_line(tmp_path, ending):
     bearing = write_fixture_tree(tmp_path)

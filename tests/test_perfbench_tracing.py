@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bearingrul import dataio
+from bearingrul import features as ft
 from bearingrul import model as md
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -44,3 +46,24 @@ def test_tracer_spans_a_forward_pass_and_restores_every_original():
             "model.conv_stem.ver",
             *(f"model.window_attention.stage{i}" for i in range(4)),
             *(f"model.patch_merging.merge{i}" for i in range(3))} <= set(tracer.calls)
+
+
+def test_featurize_denoises_every_snapshot_once_per_channel():
+    """perfbench/test_perfbench.py pins the signal workload's denoise calls
+    at two per snapshot (one per channel) and divides the denoise time by
+    the record's snapshot count; this pins the same counts in tier 1."""
+    tracing = load_tracing()
+    cfg = dataio.SyntheticConfig(n_snapshots=24, samples_per_snapshot=64,
+                                 fault_onset_index=12, seed=5)
+    record = dataio.gen_synthetic(cfg)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ft.build_dataset(record, fpt=12, size=4, stride=2, denoise=True)
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    metrics = tracer.layer_metrics()
+    assert metrics["wavelets.wavelet_denoise.calls"] == 2 * record.n_snapshots
+    assert tracer.calls["features.preprocess_record"] == 1
+    assert tracer.calls["features.snapshots_denoised"] == record.n_snapshots

@@ -3,6 +3,7 @@ import pytest
 
 from bearingrul import wavelets as wv
 from dwt_cascade import dwt, idwt
+import signal_oracle
 from bearingrul.errors import (
     EmptyInput,
     LengthMismatch,
@@ -362,3 +363,69 @@ def test_kurtosis_affine_invariance():
         a = rng.uniform(0.1, 10) * rng.choice([-1, 1])
         b = rng.uniform(-5, 5)
         assert wv.kurtosis(a * x + b) == pytest.approx(wv.kurtosis(x), abs=1e-9)
+
+
+# --- the direct kernels against numpy's generic forms, bit for bit ---
+
+ORACLE_LENGTHS = [*range(4, 81), 256, 2560, 2561]
+
+# ±0.0, subnormals and ±1e300; one NaN with the default payload, one
+# negative and one with a payload of its own.
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 1e300, -1e300])
+NANS = (np.nan, -np.nan, np.array([0x7FF8000000000123], np.uint64).view(np.float64)[0])
+
+
+def oracle_signals(n, rng):
+    """(name, signal) pairs of length n: Gaussian, Gaussian with special
+    values at random positions, quantized (ties for the median), and
+    Gaussian holding one NaN."""
+    plain = rng.standard_normal(n)
+    special = plain.copy()
+    picks = rng.permutation(SPECIALS)[:n]
+    special[rng.choice(n, size=picks.size, replace=False)] = picks
+    nan = plain.copy()
+    nan[rng.integers(n)] = NANS[n % len(NANS)]
+    return (("plain", plain), ("special", special),
+            ("ties", np.round(plain * 2.0)), ("nan", nan))
+
+
+def outcome(fn, *args):
+    """fn's result as bytes (so NaN payloads and -0.0 count), or the
+    exception type it raised."""
+    try:
+        return np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except ZeroVariance:
+        return ZeroVariance
+
+
+def test_denoise_kernels_match_the_generic_forms_bit_for_bit():
+    rng = np.random.default_rng(1601)
+    for n in ORACLE_LENGTHS:
+        for name, x in oracle_signals(n, rng):
+            label = f"{name} n={n}"
+            # 1e300 overflows kurtosis's fourth power; both forms then
+            # give the same inf or nan.
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert (outcome(wv.kurtosis, x)
+                        == outcome(signal_oracle.kurtosis, x)), label
+            if n >= wv.SAVGOL.size:
+                assert (outcome(wv.savgol_filter, x)
+                        == outcome(signal_oracle.savgol_filter, x)), label
+            assert (outcome(wv.universal_threshold, x, n)
+                    == outcome(signal_oracle.universal_threshold, x, n)), label
+            assert (outcome(wv.wavelet_denoise, x)
+                    == outcome(signal_oracle.wavelet_denoise, x)), label
+            detail = rng.permutation(x)
+            assert (outcome(wv.idwt_level, x, detail)
+                    == outcome(signal_oracle.idwt_level, x, detail)), label
+
+
+def test_a_nan_makes_the_threshold_nan_without_a_warning():
+    # filterwarnings = error turns any warning here into a failure.
+    x = np.random.default_rng(1602).standard_normal(256)
+    for i, nan in enumerate(NANS):
+        x[3 + i] = nan
+        assert np.isnan(wv.universal_threshold(x, x.size))
+        assert np.isnan(wv.wavelet_denoise(x)).all()
+        assert np.isnan(wv.kurtosis(x))
+        x[3 + i] = 0.0
