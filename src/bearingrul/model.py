@@ -473,7 +473,10 @@ def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
     Runs under autodiff.no_grad, so no graph is recorded, in chunks of
     batch_size samples. The default, the CLI's training batch, keeps the
     largest temporary (the desk stem's conv output, 256 KiB a sample) at
-    4 MiB and gives the same bits as chunks of 64.
+    4 MiB. The chunk size can move a prediction's last bits:
+    test_predict_batch_chunks_of_16_match_chunks_of_64 pins equal bits for
+    perturbed initial weights only, and on trained desk weights chunks of
+    64 changed 1 of 97 predictions (ROADMAP item 11).
     """
     preds = []
     with ad.no_grad():

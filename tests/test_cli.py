@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -363,6 +364,40 @@ def test_nan_in_record_exits_three(record_dir, tmp_path, capsys):
     err = _assert_one_line_failure(
         capsys, run_cli("ingest", "--input", str(bad), "--outdir", str(out)), 3, out)
     assert err.startswith("InvalidRecord:")
+
+
+def test_ingest_failing_in_a_workers_slice_exits_three(record_dir, tmp_path,
+                                                      capsys, monkeypatch):
+    """120 files over 3 processes: workers read files 40-79 and 80-119."""
+    monkeypatch.setattr(dataio, "_process_count", lambda lines: 3)
+    bad = tmp_path / "Bearing9_1"
+    shutil.copytree(record_dir, bad)
+    files = sorted(bad.glob("acc_*.csv"))
+    files[50].write_text("0,0,0,0,1.5x,2\n" + files[50].read_text())
+    files[100].write_text("0,0,0,0,1.5,2\n")
+    out = tmp_path / "out"
+    err = _assert_one_line_failure(
+        capsys, run_cli("ingest", "--input", str(bad), "--outdir", str(out)), 3, out)
+    assert err.startswith(f"MalformedRow: {files[50]}:1: ")
+
+
+def test_synth_whose_worker_fails_leaves_nothing(tmp_path, capsys, monkeypatch):
+    """60 snapshots over 3 processes: the last worker writes 40-59."""
+    monkeypatch.setattr(dataio, "_process_count", lambda lines: 3)
+    line_times = dataio._line_times
+
+    def disk_full_at_snapshot_50(t0, offsets):
+        if t0 == 50 * dataio.PRONOSTIA_PERIOD_S:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return line_times(t0, offsets)
+
+    monkeypatch.setattr(dataio, "_line_times", disk_full_at_snapshot_50)
+    out = tmp_path / "out"
+    code = run_cli("synth", "--outdir", str(out), "--snapshots", "60",
+                   "--samples", "64", "--onset", "20", "--seed", "1",
+                   "--bearing-id", "Bearing9_1")
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err == "OSError: [Errno 28] No space left on device\n"
 
 
 def _corrupt_label(blob):

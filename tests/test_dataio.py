@@ -1,6 +1,9 @@
+import errno
 import json
+import os
 import random
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -224,6 +227,216 @@ def test_loader_holds_one_copy_of_the_record(tmp_path):
     assert back.horizontal.tobytes() == record.horizontal.tobytes()
     assert back.vertical.tobytes() == record.vertical.tobytes()
     assert peak < 1.25 * nbytes
+
+
+# --- forked workers ---
+
+@pytest.fixture
+def processes(monkeypatch):
+    """processes(n) makes every CSV folder split over n processes and
+    returns the list that each os.fork call appends to."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def force(count):
+        monkeypatch.setattr(dataio, "_process_count", lambda lines: count)
+        forks.clear()
+        return forks
+
+    return force
+
+
+def _small_record(n_snapshots, samples):
+    return dataio.gen_synthetic(dataio.SyntheticConfig(
+        n_snapshots=n_snapshots, samples_per_snapshot=samples,
+        fault_onset_index=n_snapshots // 2, seed=3))
+
+
+def _written_and_read(record, folder):
+    paths = dataio.save_record_csvdir(record, folder)
+    back = dataio.load_pronostia_bearing(folder)
+    return ([p.relative_to(folder) for p in paths], [p.read_bytes() for p in paths],
+            back.horizontal.tobytes(), back.vertical.tobytes())
+
+
+def test_forked_workers_write_and_read_the_serial_bytes(tmp_path, processes):
+    """14 snapshots split unevenly: the writer's 14 files 7+7 and 4+5+5,
+    the reader's 13 after the first one 6+7 and 4+4+5."""
+    record = _small_record(14, 64)
+    processes(1)
+    serial = _written_and_read(record, tmp_path / "serial")
+    assert serial[2:] == (record.horizontal.tobytes(), record.vertical.tobytes())
+    for count in (2, 3):
+        forks = processes(count)
+        assert _written_and_read(record, tmp_path / str(count)) == serial
+        assert len(forks) == 2 * (count - 1)
+
+
+def test_a_failed_fork_leaves_its_slices_to_this_process(tmp_path, processes,
+                                                         monkeypatch):
+    record = _small_record(14, 64)
+    processes(1)
+    serial = _written_and_read(record, tmp_path / "serial")
+    forks = processes(4)
+    fork, tries = os.fork, []
+
+    def every_second_fork_fails():
+        tries.append(1)
+        if len(tries) % 2 == 0:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", every_second_fork_fails)
+    assert _written_and_read(record, tmp_path / "forked") == serial
+    assert len(tries) == 4 and len(forks) == 2  # one worker per folder
+
+
+def test_a_worker_that_ends_without_a_result_is_an_error():
+    def work(first, stop):
+        if first:  # the worker's slice
+            os._exit(0)
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        dataio._in_slices(0, 4, 2, work)
+
+
+def test_process_count_follows_lines_and_cpus(monkeypatch):
+    """One process per 10 240 lines, at most one per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    counts = [dataio._process_count(n) for n in (0, 20_479, 20_480, 512_000)]
+    assert counts == [1, 1, 2, 8]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert dataio._process_count(512_000) == 2
+    monkeypatch.delattr(os, "fork")
+    assert dataio._process_count(512_000) == 1
+
+
+def test_workers_allocate_only_what_one_file_needs(tmp_path, processes,
+                                                   monkeypatch):
+    """Each worker's tracemalloc peak above what it inherited holds only
+    per-file buffers and text. A loader worker's rows are its copy-on-write
+    pages of the record (half of it here), which tracemalloc does not see;
+    it sends them from those pages without a copy."""
+    record, nbytes = _memory_record()
+    peaks = tmp_path / "peaks"
+    peaks.mkdir()
+    fork, exit_ = os.fork, os._exit
+    inherited = []
+
+    def traced_fork():
+        pid = fork()
+        if pid == 0:
+            inherited.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return pid
+
+    def traced_exit(code):
+        grown = tracemalloc.get_traced_memory()[1] - inherited[0]
+        (peaks / f"{os.getpid()}").write_text(str(grown))
+        exit_(code)
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(os, "_exit", traced_exit)
+    forks = processes(2)
+    back, _ = _traced_peak(lambda: (dataio.save_record_csvdir(record, tmp_path / "rec"),
+                                    dataio.load_pronostia_bearing(tmp_path / "rec"))[1])
+    assert back.horizontal.tobytes() == record.horizontal.tobytes()
+    grown = [int(p.read_text()) for p in peaks.iterdir()]
+    assert len(forks) == len(grown) == 2
+    assert max(grown) < 0.25 * nbytes, grown
+
+
+def _folder(folder):
+    return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+
+def test_forked_writer_leaves_the_serial_loops_folder_on_failure(tmp_path, processes,
+                                                                 monkeypatch):
+    """14 snapshots over 3 processes, 0-3, 4-8 and 9-13: this process fails
+    at snapshot 2 only once the last worker has written its files, which
+    are then removed."""
+    record = _small_record(14, 64)
+    line_times, parent = dataio._line_times, os.getpid()
+    last = []  # the file this process waits for before it fails
+
+    def disk_full_at_snapshot_2(t0, offsets):
+        if t0 == 2 * dataio.PRONOSTIA_PERIOD_S:
+            deadline = time.monotonic() + 30
+            while (os.getpid() == parent and last and not last[0].exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return line_times(t0, offsets)
+
+    monkeypatch.setattr(dataio, "_line_times", disk_full_at_snapshot_2)
+    folders = []
+    for count, name in ((1, "serial"), (3, "forked")):
+        processes(count)
+        last[:] = [tmp_path / name / "acc_00014.csv"] if count > 1 else []
+        with pytest.raises(OSError, match="No space left on device"):
+            dataio.save_record_csvdir(record, tmp_path / name)
+        folders.append(_folder(tmp_path / name))
+    assert folders[0] == folders[1]
+    assert sorted(folders[0]) == ["acc_00001.csv", "acc_00002.csv"]
+
+
+def _malformed_row(csv):
+    lines = csv.read_text().splitlines(keepends=True)
+    lines[2] = "0,0,0,0,1.5x,2\n"
+    csv.write_text("".join(lines))
+
+
+def _non_utf8_byte(csv):
+    lines = csv.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b",", b",\xff", 1)
+    csv.write_bytes(b"".join(lines))
+
+
+def _short_file(csv):
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:5]))
+
+
+def _unreadable(csv):
+    csv.unlink()
+    csv.mkdir()
+
+
+FAILURES = [_malformed_row, _non_utf8_byte, _short_file, _unreadable]
+
+
+def _failure(folder):
+    """Type, text, path and line of what loading the folder raises."""
+    with pytest.raises(Exception) as excinfo:
+        dataio.load_pronostia_bearing(folder)
+    exc = excinfo.value
+    return type(exc), str(exc), getattr(exc, "path", None), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("shift", range(len(FAILURES)))
+def test_forked_loader_raises_the_serial_loops_first_failure(tmp_path, processes,
+                                                             shift):
+    """21 files over 5 processes: the caller reads files 1-4 after file 0,
+    the four workers 5-8, 9-12, 13-16 and 17-20. Each worker's slice gets
+    one failure, in an order rotated by `shift`, and each failure is raised
+    once the ones before it are gone."""
+    record = _small_record(21, 16)
+    kinds = FAILURES[shift:] + FAILURES[:shift]
+    places = (6, 10, 14, 18)
+    for first in range(len(places)):
+        folder = tmp_path / str(first)
+        processes(1)
+        dataio.save_record_csvdir(record, folder)
+        files = sorted(folder.glob("acc_*.csv"))
+        for place, fail in zip(places[first:], kinds[first:]):
+            fail(files[place])
+        serial = _failure(folder)
+        forks = processes(5)
+        assert _failure(folder) == serial
+        assert len(forks) == 4
+        assert files[places[first]].name in serial[1]
+        if serial[0] is MalformedRow:
+            assert serial[2] == str(files[places[first]])
 
 
 # --- numpy fast path against the line parser ---
