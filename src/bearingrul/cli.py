@@ -40,7 +40,7 @@ EXIT_NUMERIC = 4
 
 # glibc mallopt parameters and the values the CLI pins them to (see
 # _keep_freed_heap_mapped); 32 MiB is glibc's largest mmap threshold.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TRIM_THRESHOLD = 256 << 20
 
@@ -498,14 +498,19 @@ def _keep_freed_heap_mapped() -> bool:
     halfway through. With fixed thresholds every block up to
     HEAP_MMAP_THRESHOLD comes from the heap and the heap is not trimmed
     below HEAP_TRIM_THRESHOLD of free space, so each batch after the first
-    reuses mapped pages. Returns False where the C library has no mallopt.
+    reuses mapped pages. One arena (M_ARENA_MAX 1) extends that to threads:
+    model.predict_batch's worker thread takes its temporaries from the same
+    kept heap instead of faulting in an arena of its own, which raised the
+    eval-desk benchmark's peak RSS from 66.7 to 86.1 MB (BENCH_16.json).
+    Returns False where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc
         return False
     return bool(mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-                and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD))
+                and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+                and mallopt(M_ARENA_MAX, 1))
 
 
 def main(argv=None) -> int:

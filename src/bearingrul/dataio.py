@@ -51,8 +51,8 @@ from .errors import (
     VersionMismatch,
 )
 from .features import IMAGE_SIDE, BearingRecord, LabeledSample, WpdImage
-from .model import (ModelConfig, ModelParams, expected_param_count, param_layout,
-                    validate_params)
+from .model import (ModelConfig, ModelParams, _usable_cpus, expected_param_count,
+                    param_layout, validate_params)
 
 DATASET_MAGIC = b"WPDS"
 DATASET_VERSION = 1
@@ -82,11 +82,11 @@ _LINES_PER_PROCESS = 10_240
 
 def _process_count(lines: int) -> int:
     """Processes to read or write a CSV folder of `lines` lines with: one
-    per _LINES_PER_PROCESS lines, at most one per CPU in this process's
-    affinity mask, and 1 where os.fork or os.sched_getaffinity is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    per _LINES_PER_PROCESS lines, at most one per usable CPU, and 1 where
+    os.fork is missing."""
+    if not hasattr(os, "fork"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), lines // _LINES_PER_PROCESS))
+    return max(1, min(_usable_cpus(), lines // _LINES_PER_PROCESS))
 
 
 def _in_slices(start: int, stop: int, count: int, work, results=None,

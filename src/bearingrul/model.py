@@ -13,7 +13,10 @@ so a mismatched (input side, window, depths) combination fails fast. The
 "desk" preset is small enough to train on a laptop CPU in minutes.
 """
 
+import contextvars
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -27,6 +30,18 @@ from .features import IMAGE_SIDE
 logger = logging.getLogger(__name__)
 
 MASK_OFF = -1e30  # pre-softmax mask value; exp() underflows to exactly 0
+# Threads predict_batch runs its chunks on, at most: the only count measured
+# (on 2 CPUs); each thread adds one chunk's working set to the peak.
+_PREDICT_THREADS = 2
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the OS cannot say.
+
+    A cgroup CPU quota is not read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -477,12 +492,36 @@ def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
     test_predict_batch_chunks_of_16_match_chunks_of_64 pins equal bits for
     perturbed initial weights only, and on trained desk weights chunks of
     64 changed 1 of 97 predictions (ROADMAP item 11).
+
+    Chunks are independent forward passes, and numpy releases the GIL in
+    BLAS and its loops, so they run on min(_PREDICT_THREADS, usable CPUs,
+    chunks) threads, inline when that is 1. The boundaries and so the bits
+    do not depend on the count. Only this thread enters no_grad, whose flag
+    is process-wide: a worker leaving it could turn recording back on under
+    the other. Each chunk runs in a copy of this thread's context, which
+    carries numpy's errstate. The first failing chunk's exception is raised,
+    as a serial loop would raise it, and the chunks not yet begun are
+    dropped. The pool lives for one call, so no thread outlives it into a
+    later fork (dataio._in_slices).
     """
-    preds = []
+    def chunk_preds(start: int) -> np.ndarray:
+        chunk = samples[start:start + batch_size]
+        hor = prepare_images([s.hor.pixels for s in chunk], cfg.input_side)
+        ver = prepare_images([s.ver.pixels for s in chunk], cfg.input_side)
+        return forward_batch(params, cfg, hor, ver, training=False).data
+
+    starts = range(0, len(samples), batch_size)
+    threads = min(_PREDICT_THREADS, _usable_cpus(), len(starts))
     with ad.no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
-            hor = prepare_images([s.hor.pixels for s in chunk], cfg.input_side)
-            ver = prepare_images([s.ver.pixels for s in chunk], cfg.input_side)
-            preds.append(forward_batch(params, cfg, hor, ver, training=False).data)
+        if threads <= 1:
+            preds = [chunk_preds(start) for start in starts]
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       chunk_preds, start) for start in starts]
+                try:
+                    preds = [f.result() for f in futures]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
     return np.concatenate(preds)

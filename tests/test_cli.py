@@ -881,3 +881,37 @@ def test_cli_keeps_freed_heap_pages_mapped():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     np.ones(size)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
+
+
+def test_cli_keeps_freed_heap_pages_mapped_for_a_worker_thread():
+    """With one arena pinned, a 16 MiB array the main thread freed serves a
+    worker thread's next one. Run in a fresh process: an arena that pytest's
+    own threads made earlier would be reused by the worker instead."""
+    code = """
+import resource, sys, threading
+import numpy as np
+from bearingrul import cli
+if not cli._keep_freed_heap_mapped():
+    sys.exit(5)
+size = 2 << 20  # float64s: 16 MiB, below cli.HEAP_MMAP_THRESHOLD
+np.ones(size)
+faults = []
+def work():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(size)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+worker = threading.Thread(target=work)
+worker.start()
+worker.join(timeout=60)
+print(faults[0])
+"""
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    if proc.returncode == 5:
+        pytest.skip("the C library has no mallopt")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64

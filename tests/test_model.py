@@ -1,5 +1,9 @@
 import dataclasses
+import sys
+import threading
 import time
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +412,114 @@ def test_predict_batch_records_no_graph(desk, monkeypatch):
     assert len(outputs) == 2
     assert all(not o.requires_grad and o._node is None for o in outputs)
     assert ad.no_grad.recording
+
+
+@pytest.fixture(scope="module")
+def perturbed():
+    """Desk config, perturbed initial weights and 65 distinct samples."""
+    cfg = md.desk_config()
+    params = md.init_params(cfg, seed=7)
+    params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
+    from bearingrul.features import LabeledSample, wpd_image
+    rng = np.random.default_rng(16)
+    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
+                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
+               for _ in range(65)]
+    return cfg, params, samples
+
+
+def force_threads(monkeypatch, count):
+    """Make predict_batch run on min(count, chunks) threads."""
+    monkeypatch.setattr(md, "_PREDICT_THREADS", count)
+    monkeypatch.setattr(md, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
+                                                    threads):
+    """Any thread count gives the bytes of one forward pass per 16-sample
+    chunk, run one after another on this thread, also with threads
+    switched as often as the interpreter allows."""
+    cfg, params, samples = perturbed
+    ran_on = set()
+    real = md.forward_batch
+
+    def spy(*args, **kwargs):
+        ran_on.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    def serial(chunks):
+        return np.concatenate([real(
+            params, cfg, md.prepare_images([s.hor.pixels for s in c], cfg.input_side),
+            md.prepare_images([s.ver.pixels for s in c], cfg.input_side)).data
+            for c in chunks])
+
+    for n in (1, 15, 16, 17, 37, 65):
+        oracle = serial(samples[i:min(i + 16, n)] for i in range(0, n, 16))
+        force_threads(monkeypatch, threads)
+        monkeypatch.setattr(md, "forward_batch", spy)
+        ran_on.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            preds = md.predict_batch(params, cfg, samples[:n])
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+        assert preds.tobytes() == oracle.tobytes()
+        pooled = threads > 1 and n > 16
+        assert (threading.main_thread() in ran_on) != pooled
+
+
+def test_predict_batch_threads_keep_the_callers_errstate(perturbed, monkeypatch):
+    """Chunks run in the caller's numpy error state, as train's validation
+    needs: an overflow it ignores must not warn in a worker thread."""
+    cfg, params, samples = perturbed
+    force_threads(monkeypatch, 2)
+    flat = params.flat.copy()
+    try:
+        params.flat *= 1e120
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            md.predict_batch(params, cfg, samples[:32])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                md.predict_batch(params, cfg, samples[:32])
+    finally:
+        params.flat[:] = flat
+
+
+def test_predict_batch_threads_raise_the_first_failing_chunk(perturbed,
+                                                             monkeypatch):
+    """A failing chunk raises what the serial loop raises, the first failure
+    in chunk order, and leaves recording on and no thread running."""
+    cfg, params, samples = perturbed
+
+    def sample(side):
+        pixels = np.zeros((side, side), dtype=np.float32)
+        view = types.SimpleNamespace(pixels=pixels)
+        return types.SimpleNamespace(hor=view, ver=view)
+
+    real = md.forward_batch
+
+    def slow_to_fail(params, cfg, hor, ver, **kwargs):
+        if hor.shape[-1] == 48:  # the first failing chunk fails last
+            time.sleep(0.2)
+        return real(params, cfg, hor, ver, **kwargs)
+
+    monkeypatch.setattr(md, "forward_batch", slow_to_fail)
+    bad = samples[:16] + [sample(48)] * 16 + [sample(16)] * 5
+    failures = []
+    for threads in (1, 2):
+        force_threads(monkeypatch, threads)
+        before = threading.active_count()
+        with pytest.raises(ConfigMismatch) as info:
+            md.predict_batch(params, cfg, bad)
+        failures.append(str(info.value))
+        assert ad.no_grad.recording
+        assert threading.active_count() == before
+    assert failures[0] == failures[1]
+    assert "(16, 1, 48, 48)" in failures[0]
 
 
 def test_dropout_seed_changes_training_output():
