@@ -21,7 +21,7 @@ for freq_fraction in (0.03, 0.17, 0.42):
           f"{int(np.argmax(energies))} (natural order)")
     shades = " .:-=+*#%@"
     for block in range(8):
-        row_mean = np.abs(img.pixels[8 * block:8 * (block + 1)] - 0.5).mean()
+        row_mean = np.abs(img[8 * block:8 * (block + 1)] - 0.5).mean()
         bar = shades[min(9, int(row_mean * 40))] * 40
         print(f"  band {block}: {bar}")
 

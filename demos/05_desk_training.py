@@ -17,9 +17,10 @@ record = dataio.gen_synthetic(cfg)
 fpt = ft.detect_fpt(ft.kurtosis_series(record))
 print("detected onset:", fpt)
 
-samples = ft.build_dataset(record, fpt, size=10, stride=3)
-train_set = samples[0::2][:48] + samples[1::4][:16]
-held_out = [s for i, s in enumerate(samples) if i % 2 == 1 and (i - 1) % 4 != 0]
+samples = ft.sample_records(ft.build_dataset(record, fpt, size=10, stride=3))
+train_set = np.concatenate([samples[0::2][:48], samples[1::4][:16]])
+i = np.arange(len(samples))
+held_out = samples[(i % 2 == 1) & ((i - 1) % 4 != 0)]
 print(f"training on {len(train_set)} windows, holding out {len(held_out)}")
 
 model_cfg = md.desk_config()
@@ -32,9 +33,9 @@ for stats in history[::6] + [history[-1]]:
     print(f"  epoch {stats.epoch:3d}  train loss {stats.train_loss:.4f}")
 
 preds = md.predict_batch(params, model_cfg, held_out)
-targets = np.array([s.label for s in held_out])
+targets = held_out["label"].astype(np.float64)
 batch = tr.PredictionBatch(preds, targets)
-baseline = np.abs(targets - np.mean([s.label for s in train_set])).mean()
+baseline = np.abs(targets - train_set["label"].astype(np.float64).mean()).mean()
 print(f"\nheld-out MAE: {tr.mae(batch):.4f}   predict-the-mean baseline: "
       f"{baseline:.4f}")
 print(f"score (mean): {tr.score(batch):.4f}   late fraction: "

@@ -8,18 +8,16 @@ late predictions, which is the safer direction to miss in.
 Takes a few minutes (two full training runs).
 """
 
-import numpy as np
-
 from bearingrul import dataio, features as ft, model as md, training as tr
 
 cfg = dataio.SyntheticConfig(n_snapshots=340, samples_per_snapshot=256,
                              fault_onset_index=50, seed=100)
 record = dataio.gen_synthetic(cfg)
 fpt = ft.detect_fpt(ft.kurtosis_series(record))
-samples = ft.build_dataset(record, fpt, size=10, stride=4)
+samples = ft.sample_records(ft.build_dataset(record, fpt, size=10, stride=4))
 train_set = samples[0::2][:48]
 held_out = samples[1::2][:24]
-targets = np.array([s.label for s in held_out])
+targets = held_out["label"]
 
 model_cfg = md.desk_config()
 train_cfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30, seed=0)

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, features, model, plotting, training
-from .errors import (BearingRulError, DataError, EmptyDataset, InvalidConfig,
-                     NumericError)
+from .errors import (BearingRulError, DataError, EmptyDataset, FloatOverflow,
+                     InvalidConfig, NumericError)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -93,11 +93,17 @@ def _record_summary(record) -> dict:
         "samples_per_snapshot": record.samples_per_snapshot,
         "sample_rate_hz": dataio.PRONOSTIA_SAMPLE_RATE,
         "snapshot_period_s": dataio.PRONOSTIA_PERIOD_S,
-        "horizontal_rms_first": float(np.sqrt((record.horizontal[0] ** 2).mean())),
-        "horizontal_rms_last": float(np.sqrt((record.horizontal[-1] ** 2).mean())),
-        "vertical_rms_first": float(np.sqrt((record.vertical[0] ** 2).mean())),
-        "vertical_rms_last": float(np.sqrt((record.vertical[-1] ** 2).mean())),
+        **{f"{name}_rms_{end}": _rms(record.channel(name)[i])
+           for name in features.CHANNELS for end, i in (("first", 0), ("last", -1))},
     }
+
+
+def _rms(snapshot) -> float:
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt((snapshot ** 2).mean()))
+    if rms == math.inf:
+        raise FloatOverflow("snapshot RMS exceeds the float64 range")
+    return rms
 
 
 def _load_record(cfg):
@@ -120,8 +126,7 @@ def cmd_fpt(cfg, out: Path):
                               sigma_multiplier=cfg["sigma"],
                               consecutive_required=cfg["consecutive"],
                               channel_policy=cfg["channel"])
-    fpt, channel = features.detect_fpt_record(record, fcfg)
-    series = features.kurtosis_series(record, channel)
+    fpt, channel, series = features.detect_fpt_record(record, fcfg)
     baseline, mu, sigma, lo, hi = features.healthy_band(series, fcfg)
     _write_text(out / "kurtosis.csv",
                 _csv(enumerate(series.tolist()), ("snapshot", "kurtosis")))
@@ -145,7 +150,7 @@ def cmd_featurize(cfg, out: Path):
     fcfg = features.FptConfig(baseline_count=cfg["baseline"])
     record = _load_record(cfg)
     if cfg["fpt"] == "auto":
-        fpt, _ = features.detect_fpt_record(record, fcfg)
+        fpt, _, _ = features.detect_fpt_record(record, fcfg)
         if fpt is None:
             raise DataError("no degradation onset detected; cannot label")
     else:
@@ -159,7 +164,7 @@ def cmd_featurize(cfg, out: Path):
                                      denoise=cfg["denoise"])
     meta = {"window": cfg["window"], "stride": cfg["stride"],
             "level": cfg["level"], "denoise": cfg["denoise"]}
-    dataio.save_dataset(samples, out / "dataset.bin",
+    dataio.save_dataset(features.sample_records(samples), out / "dataset.bin",
                         bearing_id=record.bearing_id, fpt=fpt, config=meta)
     return [cfg["input"]]
 
@@ -170,12 +175,10 @@ def _split_dataset(samples, holdout: float, seed: int):
     Every round(1/holdout)-th sample is held out; holdout lies in [0, 0.5].
     """
     if holdout == 0:
-        return list(samples), []
+        return samples, samples[:0]
     period = round(1.0 / holdout)
-    offset = seed % period
-    val = [s for i, s in enumerate(samples) if i % period == offset]
-    train = [s for i, s in enumerate(samples) if i % period != offset]
-    return train, val
+    held = np.arange(len(samples)) % period == seed % period
+    return samples[~held], samples[held]
 
 
 def _training_setup(cfg, split: str):
@@ -196,7 +199,7 @@ def cmd_train(cfg, out: Path):
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "val_fraction")
     lcfg = training.LossConfig(kind=cfg["loss"], lam=cfg["lam"])
     params, history = training.train(train_set, mcfg, tcfg, lcfg,
-                                     val_dataset=val_set or None)
+                                     val_dataset=val_set)
     dataio.save_checkpoint(params, mcfg, out / "checkpoint.ckpt")
     _write_text(out / "history.csv", _csv(
         [(h.epoch, h.train_loss, "" if h.val_mae is None else repr(h.val_mae))
@@ -214,11 +217,11 @@ def cmd_train(cfg, out: Path):
 
 def _evaluate(cfg):
     samples = dataio.load_dataset(cfg["dataset"])
-    if not samples:
+    if not len(samples):
         raise EmptyDataset(f"{cfg['dataset']}: no samples to predict")
     params, mcfg = dataio.load_checkpoint(cfg["checkpoint"])
     preds = model.predict_batch(params, mcfg, samples)
-    return preds, np.array([s.label for s in samples])
+    return preds, samples["label"]
 
 
 def cmd_eval(cfg, out: Path):
@@ -248,9 +251,9 @@ def cmd_exp_loss(cfg, out: Path):
         raise InvalidConfig(
             f"--holdout {cfg['holdout']} must be nonzero for exp-loss")
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "holdout")
-    if not val_set:
+    if not len(val_set):
         raise DataError(f"--holdout {cfg['holdout']} held out no samples")
-    targets = np.array([s.label for s in val_set])
+    targets = val_set["label"]
     report = {}
     for kind in ("mse", "custom"):
         lcfg = training.LossConfig(kind=kind, lam=cfg["lam"])

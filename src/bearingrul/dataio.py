@@ -8,11 +8,11 @@ Dataset (.bin):
     u32           sample count
     u32 x 2       image height, width
     per sample    hor pixels f32[h*w], ver pixels f32[h*w], label f32,
-                  packed as one _record_dtype(h, w) record
-The container alone is the dataset: load_dataset reads nothing else. Beside
-it, save_dataset writes a JSON sidecar at <path>.json holding exactly
-bearing_id, fpt and the featurization config, for people and tools; no
-command reads it back.
+                  packed as one features.SAMPLE_DTYPE record (h = w = 64)
+The container alone is the dataset: load_dataset returns its records as a
+read-only view and reads nothing else. Beside it, save_dataset writes a JSON
+sidecar at <path>.json holding exactly bearing_id, fpt and the featurization
+config, for people and tools; no command reads it back.
 
 Checkpoint (.ckpt):
     bytes 0..3    magic b"BRCK"
@@ -46,11 +46,12 @@ from .errors import (
     CorruptContainer,
     InconsistentSnapshotLength,
     InvalidConfig,
+    InvalidSample,
     MalformedRow,
     MissingDirectory,
     VersionMismatch,
 )
-from .features import IMAGE_SIDE, BearingRecord, LabeledSample, WpdImage
+from .features import IMAGE_SIDE, SAMPLE_DTYPE, BearingRecord, check_samples
 from .model import (ModelConfig, ModelParams, _usable_cpus, expected_param_count,
                     param_layout, validate_params)
 
@@ -483,20 +484,14 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
 # Dataset container
 # ---------------------------------------------------------------------------
 
-def _record_dtype(h: int, w: int) -> np.dtype:
-    """One dataset record, packed: hor pixels, ver pixels, label."""
-    return np.dtype([("hor", "<f4", (h, w)), ("ver", "<f4", (h, w)), ("label", "<f4")])
-
-
-def save_dataset(samples, path, bearing_id: str = "", fpt=None, config: dict = None):
-    """Write samples to the flat binary container plus its JSON sidecar."""
+def save_dataset(records, path, bearing_id: str = "", fpt=None, config: dict = None):
+    """Check SAMPLE_DTYPE records, then write the container and its sidecar."""
     path = Path(path)
-    records = np.array([(s.hor.pixels, s.ver.pixels, s.label) for s in samples],
-                       dtype=_record_dtype(IMAGE_SIDE, IMAGE_SIDE))
+    check_samples(records)
     with open(path, "wb") as fh:
-        fh.write(DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(samples),
+        fh.write(DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records),
                                      IMAGE_SIDE, IMAGE_SIDE))
-        fh.write(records)
+        fh.write(np.ascontiguousarray(records, dtype=SAMPLE_DTYPE))
     sidecar = {"bearing_id": bearing_id, "fpt": fpt, "config": config or {}}
     with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -504,8 +499,9 @@ def save_dataset(samples, path, bearing_id: str = "", fpt=None, config: dict = N
     return path
 
 
-def load_dataset(path):
-    """Read the container back as a list of samples; the sidecar is not read."""
+def load_dataset(path) -> np.ndarray:
+    """The container's checked SAMPLE_DTYPE records, a read-only view of its
+    bytes; the sidecar is not read."""
     path = Path(path)
     blob = path.read_bytes()
     head = DATASET_HEADER.size
@@ -516,16 +512,12 @@ def load_dataset(path):
         raise CorruptContainer(f"{path}: bad magic {magic!r}")
     if version != DATASET_VERSION:
         raise VersionMismatch(f"{path}: version {version}, expected {DATASET_VERSION}")
-    try:
-        record = _record_dtype(h, w)
-    except ValueError:  # numpy caps a record at 2 GiB
-        raise CorruptContainer(f"{path}: {h}x{w} images are too large") from None
-    if len(blob) != head + count * record.itemsize:
-        raise CorruptContainer(
-            f"{path}: expected {head + count * record.itemsize} bytes, got {len(blob)}")
-    return [LabeledSample(hor=WpdImage(r["hor"]), ver=WpdImage(r["ver"]),
-                          label=r["label"])
-            for r in np.frombuffer(blob, dtype=record, count=count, offset=head)]
+    size = head + count * 4 * (2 * h * w + 1)  # Python ints: huge h, w cannot wrap
+    if len(blob) != size:
+        raise CorruptContainer(f"{path}: expected {size} bytes, got {len(blob)}")
+    if (h, w) != (IMAGE_SIDE, IMAGE_SIDE):
+        raise InvalidSample(f"{path}: images are {h}x{w}, not {IMAGE_SIDE}x{IMAGE_SIDE}")
+    return check_samples(np.frombuffer(blob, SAMPLE_DTYPE, count, head))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ class ZeroVariance(NumericError):
     pass
 
 
+class FloatOverflow(NumericError):
+    """Finite samples whose statistic leaves the float64 range."""
+
+
 class NegativeThreshold(ValueError, BearingRulError):
     pass
 
@@ -52,7 +56,7 @@ class InvalidRecord(ValueError, DataError):
 
 
 class InvalidSample(ValueError, DataError):
-    """A WPD image or labeled sample with bad shape, pixels or label."""
+    """A dataset record with non-64x64 images, non-finite pixels or a bad label."""
 
 
 class RecordTooShort(DataError):

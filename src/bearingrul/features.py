@@ -10,13 +10,14 @@ labels decay linearly from 1 at onset to 0 at failure.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import wavelets
 from .errors import (
     BaselineTooShort,
+    FloatOverflow,
     FptOutOfRange,
     InvalidConfig,
     InvalidRecord,
@@ -104,8 +105,8 @@ def kurtosis_series(record: BearingRecord, channel: str = "horizontal"):
     for i in range(record.n_snapshots):
         try:
             out[i] = wavelets.kurtosis(data[i])
-        except ZeroVariance as exc:
-            raise ZeroVariance(f"snapshot {i}: {exc}") from exc
+        except (ZeroVariance, FloatOverflow) as exc:
+            raise type(exc)(f"snapshot {i}: {exc}") from exc
     return out
 
 
@@ -177,16 +178,17 @@ def detect_fpt(k, cfg: FptConfig = None):
 def detect_fpt_record(record: BearingRecord, cfg: FptConfig = None):
     """Run detect_fpt on the record per the configured channel policy.
 
-    Returns (fpt, channel). Policy "either" takes the earliest FPT over
-    both channels, horizontal on a tie. The channel is the one that set
-    the FPT, or the policy's first channel when no FPT is found.
+    Returns (fpt, channel, series). Policy "either" takes the earliest FPT
+    over both channels, horizontal on a tie. The channel set the FPT, or is
+    the policy's first when none is found; series is its kurtosis series.
     """
     if cfg is None:
         cfg = FptConfig()
     channels = CHANNELS if cfg.channel_policy == "either" else (cfg.channel_policy,)
-    hits = [(f, ch) for ch in channels
-            if (f := detect_fpt(kurtosis_series(record, ch), cfg)) is not None]
-    return min(hits, key=lambda hit: hit[0]) if hits else (None, channels[0])
+    series = [kurtosis_series(record, ch) for ch in channels]
+    found = [(detect_fpt(k, cfg), ch, k) for ch, k in zip(channels, series)]
+    return min((hit for hit in found if hit[0] is not None),
+               key=lambda hit: hit[0], default=found[0])
 
 
 def assign_labels(record_length: int, fpt: int):
@@ -198,26 +200,6 @@ def assign_labels(record_length: int, fpt: int):
     labels = 1.0 - (i - fpt) / (record_length - 1 - fpt)
     labels[:fpt + 1] = 1.0
     return labels
-
-
-@dataclass
-class WpdImage:
-    """64x64 time-frequency image of one window on one channel.
-
-    Pixels are stored as float32 (the at-rest precision of the dataset
-    container) and min-max normalized to [0, 1]; a constant raw image
-    degenerates to all zeros.
-    """
-
-    pixels: np.ndarray
-    source_window: Optional[Window] = None
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float32)
-        if self.pixels.shape != (IMAGE_SIDE, IMAGE_SIDE):
-            raise InvalidSample(f"pixels must be {IMAGE_SIDE}x{IMAGE_SIDE}")
-        if not np.all(np.isfinite(self.pixels)):
-            raise InvalidSample("pixels must be finite")
 
 
 def normalize_image(raw: np.ndarray) -> np.ndarray:
@@ -239,13 +221,13 @@ def _resample_grid(m: int, points: int):
     return grid, positions
 
 
-def wpd_image(window_signal, level: int = 3,
-              source_window: Optional[Window] = None) -> WpdImage:
-    """Level-`level` WPD laid out as row blocks of a 64x64 image.
+def wpd_image(window_signal, level: int = 3) -> np.ndarray:
+    """Level-`level` WPD laid out as row blocks of a 64x64 float32 image.
 
     Each of the 2^level subbands (natural order) is linearly resampled to
     4096 / 2^level points and fills its own contiguous block of rows in
-    row-major order; the assembled image is then min-max normalized.
+    row-major order; the assembled image is then min-max normalized and
+    stored as float32, the at-rest precision of the dataset container.
     """
     bands = wavelets.wpd(window_signal, level)
     n_bands, m = bands.shape
@@ -253,26 +235,46 @@ def wpd_image(window_signal, level: int = 3,
         raise InvalidConfig(f"level {level} yields more subbands than image rows")
     grid, positions = _resample_grid(m, IMAGE_SIDE * IMAGE_SIDE // n_bands)
     raw = np.stack([np.interp(grid, positions, band) for band in bands])
-    return WpdImage(pixels=normalize_image(raw.reshape(IMAGE_SIDE, IMAGE_SIDE)),
-                    source_window=source_window)
+    return normalize_image(raw.reshape(IMAGE_SIDE, IMAGE_SIDE)).astype(np.float32)
 
 
-@dataclass
-class LabeledSample:
-    """Paired-channel images with a normalized RUL label in [0, 1].
+# One dataset sample, as the container stores it and commands index it.
+SAMPLE_DTYPE = np.dtype([("hor", "<f4", (IMAGE_SIDE, IMAGE_SIDE)),
+                         ("ver", "<f4", (IMAGE_SIDE, IMAGE_SIDE)),
+                         ("label", "<f4")])
 
-    The label is quantized to float32 so that dataset containers
-    round-trip bit-exactly.
-    """
+
+class WpdImage(NamedTuple):
+    """One window's image on one channel, and the window it shows."""
+
+    pixels: np.ndarray
+    source_window: Window
+
+
+class LabeledSample(NamedTuple):
+    """Paired-channel images of one window and its RUL label in [0, 1]."""
 
     hor: WpdImage
     ver: WpdImage
     label: float
 
-    def __post_init__(self):
-        self.label = float(np.float32(self.label))
-        if not 0.0 <= self.label <= 1.0:
-            raise InvalidSample(f"label {self.label} outside [0, 1]")
+
+def sample_records(samples) -> np.ndarray:
+    """Pack samples into a SAMPLE_DTYPE array; labels become float32."""
+    return np.array([(s.hor.pixels, s.ver.pixels, s.label) for s in samples],
+                    dtype=SAMPLE_DTYPE)
+
+
+def check_samples(records: np.ndarray) -> np.ndarray:
+    """Return the SAMPLE_DTYPE records, or raise InvalidSample unless every
+    pixel is finite and every label lies in [0, 1] (NaN does not)."""
+    if not (np.isfinite(records["hor"]).all() and np.isfinite(records["ver"]).all()):
+        raise InvalidSample("pixels must be finite")
+    labels = records["label"]
+    bad = ~((labels >= 0.0) & (labels <= 1.0))
+    if bad.any():
+        raise InvalidSample(f"label {labels[bad][0]} outside [0, 1]")
+    return records
 
 
 def preprocess_record(record: BearingRecord) -> BearingRecord:
@@ -309,7 +311,7 @@ def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
 
     def image(name, w):
         signal = record.channel(name)[w.start:w.start + w.size].reshape(-1)
-        return wpd_image(signal, level, source_window=w)
+        return WpdImage(wpd_image(signal, level), w)
 
     return [LabeledSample(image("horizontal", w), image("vertical", w),
                           label=float(labels[w.last]))

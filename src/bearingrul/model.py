@@ -432,14 +432,14 @@ def _block(tokens: Tensor, params: ModelParams, prefix: str, heads: int,
     return ad.add(tokens, y)
 
 
-def prepare_images(pixel_arrays, input_side: int) -> np.ndarray:
-    """Stack images to (N, 1, S, S) float64, block-max reducing 64 -> S.
+def prepare_images(images, input_side: int) -> np.ndarray:
+    """(N, 64, 64) images as (N, 1, S, S) float64, block-max reducing 64 -> S.
 
     Max (not mean) pooling: wavelet-packet pixels oscillate around
     mid-gray, so averaging neighbors cancels the very texture that
     carries subband energy, while the block maximum keeps its envelope.
     """
-    x = np.asarray(np.stack(pixel_arrays), dtype=np.float64)[:, None, :, :]
+    x = np.asarray(images, dtype=np.float64)[:, None, :, :]
     factor = x.shape[-1] // input_side  # 1, 2 or 4 (ModelConfig: S is 64, 32 or 16)
     for _ in range(factor.bit_length() - 1):  # log2(factor) strided 2x2 maxes
         _, x = ad._max_2x2(x)
@@ -483,7 +483,7 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
 
 def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
                   batch_size: int = 16) -> np.ndarray:
-    """Deterministic (dropout-off) predictions for a list of samples.
+    """Deterministic (dropout-off) predictions for SAMPLE_DTYPE records.
 
     Runs under autodiff.no_grad, so no graph is recorded, in chunks of
     batch_size samples. The default, the CLI's training batch, keeps the
@@ -506,8 +506,8 @@ def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
     """
     def chunk_preds(start: int) -> np.ndarray:
         chunk = samples[start:start + batch_size]
-        hor = prepare_images([s.hor.pixels for s in chunk], cfg.input_side)
-        ver = prepare_images([s.ver.pixels for s in chunk], cfg.input_side)
+        hor = prepare_images(chunk["hor"], cfg.input_side)
+        ver = prepare_images(chunk["ver"], cfg.input_side)
         return forward_batch(params, cfg, hor, ver, training=False).data
 
     starts = range(0, len(samples), batch_size)

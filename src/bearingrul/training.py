@@ -172,8 +172,9 @@ class EpochStats:
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset, model_cfg, train_cfg: TrainConfig,
-          loss_cfg: LossConfig = LossConfig(), val_dataset=None):
-    """Seeded full training run; returns (params, history).
+          loss_cfg: LossConfig = LossConfig(), val_dataset=()):
+    """Seeded full training run on SAMPLE_DTYPE records; returns (params,
+    history), with val_dataset's MAE per epoch when it is nonempty.
 
     Per epoch: shuffle (seeded), then per batch prepare the batch's
     images (model.prepare_images, as predict_batch does per chunk) ->
@@ -191,7 +192,6 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
         raise EmptyDataset(
             f"batch_size {train_cfg.batch_size} exceeds dataset size {len(dataset)}")
     params = model_mod.init_params(model_cfg, seed=train_cfg.seed)
-    labels = np.array([s.label for s in dataset], dtype=np.float64)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=train_cfg.seed, spawn_key=(1,)))
@@ -205,14 +205,11 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             idx = order[start:start + train_cfg.batch_size]
             drop_rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=train_cfg.seed, spawn_key=(2, step)))
-            batch = [dataset[i] for i in idx]
-            hor = model_mod.prepare_images([s.hor.pixels for s in batch],
-                                           model_cfg.input_side)
-            ver = model_mod.prepare_images([s.ver.pixels for s in batch],
-                                           model_cfg.input_side)
+            hor = model_mod.prepare_images(dataset["hor"][idx], model_cfg.input_side)
+            ver = model_mod.prepare_images(dataset["ver"][idx], model_cfg.input_side)
             preds = model_mod.forward_batch(params, model_cfg, hor, ver,
                                             training=True, rng=drop_rng)
-            loss = loss_node(preds, labels[idx], loss_cfg)
+            loss = loss_node(preds, dataset["label"][idx], loss_cfg)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
@@ -225,10 +222,9 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
         if not np.isfinite(params.flat).all():
             raise DivergedLoss(f"non-finite parameters after epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / n_seen)
-        if val_dataset:
+        if len(val_dataset):
             val_preds = model_mod.predict_batch(params, model_cfg, val_dataset)
-            val_targets = np.array([s.label for s in val_dataset])
-            stats.val_mae = mae(PredictionBatch(val_preds, val_targets))
+            stats.val_mae = mae(PredictionBatch(val_preds, val_dataset["label"]))
         history.append(stats)
     return params, history
 

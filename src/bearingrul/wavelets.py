@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    FloatOverflow,
     InvalidConfig,
     LengthMismatch,
     NegativeThreshold,
@@ -247,9 +248,13 @@ def kurtosis(x) -> float:
     if samples.size < 4:
         raise TooShort(f"kurtosis needs at least 4 samples, got {samples.size}")
     n = samples.size  # each mean is sum / n, as ndarray.mean divides
-    centered = samples - samples.sum() / n
-    m2 = float((centered ** 2).sum() / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = samples - samples.sum() / n
+        m2 = float((centered ** 2).sum() / n)
+        m4 = float((centered ** 4).sum() / n)
     if m2 == 0.0:
         raise ZeroVariance("kurtosis undefined for a constant signal")
-    m4 = float((centered ** 4).sum() / n)
+    # A NaN sample gives NaN; finite ones may overflow or underflow.
+    if not (m4 < np.inf and m2 * m2 > 0.0) and not np.isnan(samples).any():
+        raise FloatOverflow("kurtosis moments leave the float64 range")
     return m4 / (m2 * m2)

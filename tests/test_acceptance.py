@@ -35,7 +35,7 @@ _dataset_cache = {}
 
 
 def desk_dataset(seed, stride=4):
-    """Synthetic desk-scale labeled dataset; cached across criteria."""
+    """Synthetic desk-scale dataset records; cached across criteria."""
     key = (seed, stride)
     if key not in _dataset_cache:
         cfg = dataio.SyntheticConfig(n_snapshots=340, samples_per_snapshot=256,
@@ -43,7 +43,8 @@ def desk_dataset(seed, stride=4):
         record = dataio.gen_synthetic(cfg)
         fpt = ft.detect_fpt(ft.kurtosis_series(record))
         assert fpt is not None
-        _dataset_cache[key] = ft.build_dataset(record, fpt, size=10, stride=stride)
+        _dataset_cache[key] = ft.sample_records(
+            ft.build_dataset(record, fpt, size=10, stride=stride))
     return _dataset_cache[key]
 
 
@@ -254,10 +255,10 @@ def test_criterion_7_desk_training():
                       "under 5 min"):
         started = time.monotonic()
         samples = desk_dataset(seed=7, stride=3)
-        train_set = samples[0::2][:48] + samples[1::4][:16]
+        train_set = np.concatenate([samples[0::2][:48], samples[1::4][:16]])
         assert len(train_set) == 64
-        held_out = [s for i, s in enumerate(samples)
-                    if i % 2 == 1 and (i - 1) % 4 != 0]
+        i = np.arange(len(samples))
+        held_out = samples[(i % 2 == 1) & ((i - 1) % 4 != 0)]
         assert len(held_out) >= 12
 
         cfg = md.desk_config()
@@ -266,9 +267,9 @@ def test_criterion_7_desk_training():
         assert history[-1].train_loss < 0.5 * history[0].train_loss
 
         preds = md.predict_batch(params, cfg, held_out)
-        targets = np.array([s.label for s in held_out])
+        targets = held_out["label"].astype(np.float64)
         model_mae = tr.mae(tr.PredictionBatch(preds, targets))
-        train_mean = float(np.mean([s.label for s in train_set]))
+        train_mean = float(train_set["label"].astype(np.float64).mean())
         baseline_mae = float(np.mean(np.abs(targets - train_mean)))
         assert model_mae < baseline_mae, (model_mae, baseline_mae)
         assert time.monotonic() - started < 300.0
@@ -287,7 +288,7 @@ def test_criterion_8_late_prediction_reduction():
             samples = desk_dataset(seed=100 + seed)
             train_set = samples[0::2][:48]
             held_out = samples[1::2][:24]
-            targets = np.array([s.label for s in held_out])
+            targets = held_out["label"]
             tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30,
                                   seed=seed)
             late = {}

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bearingrul import cli, dataio, features as ft, model as md, plotting, training
+from sample_arrays import random_records
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,8 +157,7 @@ def test_featurize_dataset_contents(dataset_path):
     assert sidecar["bearing_id"] == "Bearing9_1"
     assert sidecar["config"]["stride"] == 2
     assert len(samples) > 20
-    labels = [s.label for s in samples]
-    assert max(labels) == 1.0 and min(labels) == 0.0
+    assert samples["label"].max() == 1.0 and samples["label"].min() == 0.0
 
 
 def test_train_history_csv(checkpoint_path):
@@ -194,10 +194,7 @@ def test_eval_exact_predictions_give_zero_metrics(tmp_path):
     params["head.out.b"].data[:] = 0.5
     ckpt = tmp_path / "const.ckpt"
     dataio.save_checkpoint(params, cfg, ckpt)
-    rng = np.random.default_rng(3)
-    samples = [ft.LabeledSample(hor=ft.wpd_image(rng.normal(size=4096)),
-                                ver=ft.wpd_image(rng.normal(size=4096)),
-                                label=0.5) for _ in range(4)]
+    samples = random_records(4, np.random.default_rng(3))
     data = tmp_path / "const.bin"
     dataio.save_dataset(samples, data)
     out = tmp_path / "out"
@@ -366,6 +363,21 @@ def test_nan_in_record_exits_three(record_dir, tmp_path, capsys):
     assert err.startswith("InvalidRecord:")
 
 
+@pytest.mark.parametrize("command", ["ingest", "fpt", "featurize"])
+def test_record_near_float_max_exits_four(command, tmp_path, capsys):
+    """Finite samples near +-1e300 overflow the snapshot RMS and the kurtosis
+    moments: one NumericError line and exit 4, with no numpy warning and no
+    Infinity or NaN in an artifact."""
+    rng = np.random.default_rng(0)
+    hor, ver = rng.choice([-1e300, 1e300], (2, 30, 64)) * rng.random((2, 30, 64))
+    record = tmp_path / "Bearing1_1"
+    dataio.save_record_csvdir(ft.BearingRecord(hor, ver), record)
+    out = tmp_path / "out"
+    code = run_cli(command, "--input", str(record), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 4, out)
+    assert err.startswith("FloatOverflow: ")
+
+
 def test_ingest_failing_in_a_workers_slice_exits_three(record_dir, tmp_path,
                                                       capsys, monkeypatch):
     """120 files over 3 processes: workers read files 40-79 and 80-119."""
@@ -404,8 +416,20 @@ def _corrupt_label(blob):
     blob[20 + 2 * 4096 * 4:20 + 2 * 4096 * 4 + 4] = struct.pack("<f", 1.5)
 
 
+def _nan_label(blob):
+    blob[20 + 2 * 4096 * 4:20 + 2 * 4096 * 4 + 4] = struct.pack("<f", float("nan"))
+
+
+def _negative_label(blob):
+    blob[20 + 2 * 4096 * 4:20 + 2 * 4096 * 4 + 4] = struct.pack("<f", -0.5)
+
+
 def _corrupt_pixel(blob):
     blob[20:24] = struct.pack("<f", float("inf"))
+
+
+def _last_ver_pixel_inf(blob):
+    blob[-8:-4] = struct.pack("<f", float("inf"))  # just before the last label
 
 
 def _small_images(blob):
@@ -413,7 +437,8 @@ def _small_images(blob):
         (2 * 32 * 32 + 1) * 4)
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_label, _corrupt_pixel,
+@pytest.mark.parametrize("corrupt", [_corrupt_label, _nan_label, _negative_label,
+                                     _corrupt_pixel, _last_ver_pixel_inf,
                                      _small_images])
 def test_bad_dataset_sample_exits_three(corrupt, dataset_path, checkpoint_path,
                                         tmp_path, capsys):
@@ -765,7 +790,7 @@ def test_oversized_dataset_images_exit_three(checkpoint_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_empty_dataset_exits_three(command, checkpoint_path, tmp_path, capsys):
-    empty = dataio.save_dataset([], tmp_path / "dataset.bin")
+    empty = dataio.save_dataset(np.zeros(0, ft.SAMPLE_DTYPE), tmp_path / "dataset.bin")
     out = tmp_path / "out"
     code = run_cli(command, "--dataset", str(empty), "--checkpoint",
                    str(checkpoint_path), "--outdir", str(out))
@@ -803,12 +828,13 @@ def test_checked_config_fills_defaults_and_accepts_json_types():
 
 
 def test_split_holds_out_every_round_inverse_fraction_th_sample():
-    samples = list(range(13))
-    assert cli._split_dataset(samples, 0.0, 0) == (samples, [])
+    samples = np.arange(13)
+    train, val = cli._split_dataset(samples, 0.0, 0)
+    assert train is samples and val.size == 0
     for fraction, period in ((0.5, 2), (0.4, 2), (0.3, 3), (0.25, 4), (0.1, 10)):
         train, val = cli._split_dataset(samples, fraction, 1)
-        assert val == samples[1::period]
-        assert sorted(train + val) == samples
+        assert np.array_equal(val, samples[1::period])
+        assert np.array_equal(np.sort(np.concatenate([train, val])), samples)
 
 
 # --- exit codes and help ---

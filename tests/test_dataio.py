@@ -16,11 +16,13 @@ from bearingrul.errors import (
     CorruptContainer,
     InconsistentSnapshotLength,
     InvalidConfig,
+    InvalidSample,
     MalformedRow,
     MissingDirectory,
     VersionMismatch,
 )
 import csv_lines
+from sample_arrays import records
 
 
 def write_fixture_tree(root, rows_per_file=(4, 4, 4), mangle=None):
@@ -641,13 +643,8 @@ def test_synthetic_config_validation():
 
 def make_samples(n=5, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
-    for k in range(n):
-        out.append(ft.LabeledSample(
-            hor=ft.wpd_image(rng.normal(size=4096)),
-            ver=ft.wpd_image(rng.normal(size=4096)),
-            label=float(k) / max(1, n - 1)))
-    return out
+    return records((rng.normal(size=4096), rng.normal(size=4096), k / max(1, n - 1))
+                   for k in range(n))
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
@@ -657,14 +654,19 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
                         config={"stride": 5})
     loaded = dataio.load_dataset(path)
     sidecar = json.loads((tmp_path / "data.bin.json").read_text())
-    assert len(loaded) == 10
     assert sidecar["fpt"] == 42
     assert sidecar["bearing_id"] == "Bearing1_1"
     assert sidecar["config"] == {"stride": 5}
-    for orig, back in zip(samples, loaded):
-        assert np.array_equal(orig.hor.pixels, back.hor.pixels)
-        assert np.array_equal(orig.ver.pixels, back.ver.pixels)
-        assert orig.label == back.label
+    assert loaded.dtype == ft.SAMPLE_DTYPE and not loaded.flags.writeable
+    assert loaded.tobytes() == samples.tobytes()
+
+
+def test_save_dataset_refuses_bad_samples(tmp_path):
+    samples = make_samples(2)
+    samples["label"][1] = np.nan
+    with pytest.raises(InvalidSample):
+        dataio.save_dataset(samples, tmp_path / "data.bin")
+    assert not any(tmp_path.iterdir())
 
 
 def test_dataset_truncated_file(tmp_path):

@@ -153,11 +153,14 @@ def test_detect_fpt_record_either_channel():
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
     record = ft.BearingRecord(horizontal=hor, vertical=ver)
     cfg = ft.FptConfig(baseline_count=12, channel_policy="either")
-    fpt, channel = ft.detect_fpt_record(record, cfg)
+    fpt, channel, series = ft.detect_fpt_record(record, cfg)
     assert fpt is not None and 28 <= fpt <= 33
     assert channel == "vertical"
+    assert np.array_equal(series, ft.kurtosis_series(record, "vertical"))
     hcfg = ft.FptConfig(baseline_count=12, channel_policy="horizontal")
-    assert ft.detect_fpt_record(record, hcfg) == (None, "horizontal")
+    fpt, channel, series = ft.detect_fpt_record(record, hcfg)
+    assert (fpt, channel) == (None, "horizontal")
+    assert np.array_equal(series, ft.kurtosis_series(record, "horizontal"))
 
 
 # --- labeling ---
@@ -207,19 +210,19 @@ def test_labels_property_batch():
 
 def test_wpd_image_zero_input_all_zero():
     img = ft.wpd_image(np.zeros(4096))
-    assert np.all(img.pixels == 0.0)
+    assert img.dtype == np.float32 and np.all(img == 0.0)
 
 
 def test_wpd_image_normalization_bounds():
     img = ft.wpd_image(np.random.default_rng(10).normal(size=4096))
-    assert img.pixels.min() == 0.0
-    assert img.pixels.max() == 1.0
+    assert img.min() == 0.0
+    assert img.max() == 1.0
 
 
 def test_wpd_image_pixel_count():
     for n in (4096, 25600, 2560):
         img = ft.wpd_image(np.random.default_rng(n).normal(size=n))
-        assert img.pixels.shape == (64, 64)
+        assert img.shape == (64, 64)
 
 
 def test_wpd_image_normalize_idempotent():
@@ -236,7 +239,7 @@ def test_wpd_image_row_block_layout():
     for b, band in enumerate(bands):
         raw[8 * b:8 * (b + 1), :] = band.reshape(8, 64)  # 512 points per band
     expected = (raw - raw.min()) / (raw.max() - raw.min())
-    np.testing.assert_allclose(img.pixels, expected.astype(np.float32), atol=1e-7)
+    np.testing.assert_allclose(img, expected.astype(np.float32), atol=1e-7)
 
 
 def test_wpd_image_paper_scale_band_length():
@@ -244,7 +247,7 @@ def test_wpd_image_paper_scale_band_length():
     bands = wv.wpd(x, 3)
     assert all(b.size == 3200 for b in bands)
     img = ft.wpd_image(x)
-    assert img.pixels.shape == (64, 64)
+    assert img.shape == (64, 64)
 
 
 # --- dataset assembly ---
@@ -294,7 +297,7 @@ def test_build_dataset_denoised_pipeline_runs():
         assert s.hor.pixels.shape == (64, 64)
         w = s.ver.source_window
         signal = vertical[w.start:w.start + w.size].reshape(-1)
-        assert np.array_equal(s.ver.pixels, ft.wpd_image(signal).pixels)
+        assert np.array_equal(s.ver.pixels, ft.wpd_image(signal))
 
 
 def test_preprocess_record_smooths():
@@ -304,10 +307,16 @@ def test_preprocess_record_smooths():
     assert cleaned.horizontal.var() < record.horizontal.var()
 
 
-def test_labeled_sample_label_validation():
+def test_check_samples_rejects_bad_labels_and_pixels():
     img = ft.wpd_image(np.random.default_rng(21).normal(size=4096))
-    with pytest.raises(ValueError):
-        ft.LabeledSample(hor=img, ver=img, label=1.5)
+    good = np.array([(img, img, 0.0), (img, img, 1.0)], dtype=ft.SAMPLE_DTYPE)
+    assert ft.check_samples(good) is good
+    for field, value in (("label", 1.5), ("label", -0.5), ("label", np.nan),
+                         ("hor", np.inf), ("ver", np.nan)):
+        bad = good.copy()
+        bad[field][-1] = value
+        with pytest.raises(ValueError):
+            ft.check_samples(bad)
 
 
 # --- golden featurization ---
@@ -333,5 +342,5 @@ def test_featurized_dataset_matches_golden_hash(case, tmp_path):
         n_snapshots=n, samples_per_snapshot=m, fault_onset_index=onset, seed=seed))
     samples = ft.build_dataset(record, fpt, size=size, stride=stride,
                                denoise=denoise)
-    path = dataio.save_dataset(samples, tmp_path / "dataset.bin")
+    path = dataio.save_dataset(ft.sample_records(samples), tmp_path / "dataset.bin")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want

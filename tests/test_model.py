@@ -2,7 +2,6 @@ import dataclasses
 import sys
 import threading
 import time
-import types
 import warnings
 
 import numpy as np
@@ -13,12 +12,13 @@ from bearingrul import model as md
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import ConfigMismatch, IndivisibleGrid, OddGrid
 from gradcheck import check_op
+from sample_arrays import random_records
 
 
 def forward_one(sample, params, cfg):
-    """Predicted RUL for one LabeledSample: the oracle for predict_batch."""
-    hor = md.prepare_images([sample.hor.pixels], cfg.input_side)
-    ver = md.prepare_images([sample.ver.pixels], cfg.input_side)
+    """Predicted RUL for one dataset record: the oracle for predict_batch."""
+    hor = md.prepare_images(sample["hor"][None], cfg.input_side)
+    ver = md.prepare_images(sample["ver"][None], cfg.input_side)
     return float(md.forward_batch(params, cfg, hor, ver).data[0])
 
 
@@ -329,10 +329,7 @@ def test_forward_batch_permutation_equivariant(desk):
 
 def test_forward_single_sample_smoke(desk):
     cfg, params = desk
-    from bearingrul.features import LabeledSample, wpd_image
-    rng = np.random.default_rng(11)
-    sample = LabeledSample(hor=wpd_image(rng.normal(size=4096)),
-                           ver=wpd_image(rng.normal(size=4096)), label=0.5)
+    sample = random_records(1, np.random.default_rng(11))[0]
     started = time.time()
     value = forward_one(sample, params, cfg)
     assert np.isfinite(value)
@@ -362,11 +359,7 @@ def test_prepare_images_native_side_passthrough():
 
 def test_predict_batch_matches_forward(desk):
     cfg, params = desk
-    from bearingrul.features import LabeledSample, wpd_image
-    rng = np.random.default_rng(13)
-    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
-                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
-               for _ in range(3)]
+    samples = random_records(3, np.random.default_rng(13))
     preds = md.predict_batch(params, cfg, samples)
     singles = [forward_one(s, params, cfg) for s in samples]
     np.testing.assert_allclose(preds, singles, atol=1e-12)
@@ -381,11 +374,7 @@ def test_predict_batch_chunks_of_16_match_chunks_of_64():
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=7)
     params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
-    from bearingrul.features import LabeledSample, wpd_image
-    rng = np.random.default_rng(15)
-    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
-                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
-               for _ in range(37)]
+    samples = random_records(37, np.random.default_rng(15))
     preds = md.predict_batch(params, cfg, samples)
     assert np.unique(preds).size == len(samples)
     for size in (64, 32, 20):
@@ -395,11 +384,7 @@ def test_predict_batch_chunks_of_16_match_chunks_of_64():
 
 def test_predict_batch_records_no_graph(desk, monkeypatch):
     cfg, params = desk
-    from bearingrul.features import LabeledSample, wpd_image
-    rng = np.random.default_rng(14)
-    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
-                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
-               for _ in range(3)]
+    samples = random_records(3, np.random.default_rng(14))
     outputs = []
     real = md.forward_batch
 
@@ -420,11 +405,7 @@ def perturbed():
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=7)
     params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
-    from bearingrul.features import LabeledSample, wpd_image
-    rng = np.random.default_rng(16)
-    samples = [LabeledSample(hor=wpd_image(rng.normal(size=4096)),
-                             ver=wpd_image(rng.normal(size=4096)), label=0.5)
-               for _ in range(65)]
+    samples = random_records(65, np.random.default_rng(16))
     return cfg, params, samples
 
 
@@ -450,8 +431,8 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
 
     def serial(chunks):
         return np.concatenate([real(
-            params, cfg, md.prepare_images([s.hor.pixels for s in c], cfg.input_side),
-            md.prepare_images([s.ver.pixels for s in c], cfg.input_side)).data
+            params, cfg, md.prepare_images(c["hor"], cfg.input_side),
+            md.prepare_images(c["ver"], cfg.input_side)).data
             for c in chunks])
 
     for n in (1, 15, 16, 17, 37, 65):
@@ -494,32 +475,26 @@ def test_predict_batch_threads_raise_the_first_failing_chunk(perturbed,
     """A failing chunk raises what the serial loop raises, the first failure
     in chunk order, and leaves recording on and no thread running."""
     cfg, params, samples = perturbed
-
-    def sample(side):
-        pixels = np.zeros((side, side), dtype=np.float32)
-        view = types.SimpleNamespace(pixels=pixels)
-        return types.SimpleNamespace(hor=view, ver=view)
-
+    marked = samples[:37].copy()  # chunks of 16, 16 and 5
+    marked["hor"][:, 0, 0] = np.repeat([10, 11, 12], [16, 16, 5])
     real = md.forward_batch
 
-    def slow_to_fail(params, cfg, hor, ver, **kwargs):
-        if hor.shape[-1] == 48:  # the first failing chunk fails last
+    def fail_chunks_1_and_2(params, cfg, hor, ver, **kwargs):
+        chunk = round(hor[0, 0, 0, 0]) - 10  # the block max keeps the mark
+        if chunk == 1:  # the first failing chunk fails last
             time.sleep(0.2)
+        if chunk:
+            raise ValueError(f"chunk {chunk} failed")
         return real(params, cfg, hor, ver, **kwargs)
 
-    monkeypatch.setattr(md, "forward_batch", slow_to_fail)
-    bad = samples[:16] + [sample(48)] * 16 + [sample(16)] * 5
-    failures = []
+    monkeypatch.setattr(md, "forward_batch", fail_chunks_1_and_2)
     for threads in (1, 2):
         force_threads(monkeypatch, threads)
         before = threading.active_count()
-        with pytest.raises(ConfigMismatch) as info:
-            md.predict_batch(params, cfg, bad)
-        failures.append(str(info.value))
+        with pytest.raises(ValueError, match="^chunk 1 failed$"):
+            md.predict_batch(params, cfg, marked)
         assert ad.no_grad.recording
         assert threading.active_count() == before
-    assert failures[0] == failures[1]
-    assert "(16, 1, 48, 48)" in failures[0]
 
 
 def test_dropout_seed_changes_training_output():

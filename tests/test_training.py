@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import bearingrul.autodiff as ad
-from bearingrul import features as ft, model as md, training as tr
+from bearingrul import model as md, training as tr
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import DivergedLoss, EmptyBatch, EmptyDataset, ShapeMismatch
 from loss_oracle import custom_loss, mse_loss
+from sample_arrays import records
 
 
 def batch(preds, targets):
@@ -18,14 +19,8 @@ def batch(preds, targets):
 
 def tiny_dataset(n=12, seed=0):
     rng = np.random.default_rng(seed)
-    labels = np.linspace(1.0, 0.0, n)
-    samples = []
-    for k in range(n):
-        samples.append(ft.LabeledSample(
-            hor=ft.wpd_image(rng.normal(size=4096) + labels[k]),
-            ver=ft.wpd_image(rng.normal(size=4096)),
-            label=float(labels[k])))
-    return samples
+    return records((rng.normal(size=4096) + label, rng.normal(size=4096), label)
+                   for label in np.linspace(1.0, 0.0, n))
 
 
 # --- loss formulas ---

@@ -6,6 +6,7 @@ from dwt_cascade import dwt, idwt
 import signal_oracle
 from bearingrul.errors import (
     EmptyInput,
+    FloatOverflow,
     LengthMismatch,
     NegativeThreshold,
     SignalTooShort,
@@ -346,6 +347,15 @@ def test_kurtosis_constant_raises():
         wv.kurtosis(np.full(4, 5.0))
 
 
+@pytest.mark.parametrize("x", [[1e300, -1e300, 0.0, 0.0], [1e100, 0.0, 0.0, 0.0],
+                               [1.7e308] * 8 + [-1.7e308] * 8,
+                               [1e-160, -1e-160, 0.0, 0.0]])
+def test_kurtosis_out_of_float_range_raises_without_a_warning(x):
+    # finite samples whose moments overflow, or whose m2^2 underflows to 0
+    with pytest.raises(FloatOverflow):
+        wv.kurtosis(np.array(x))
+
+
 def test_kurtosis_too_short():
     with pytest.raises(TooShort):
         wv.kurtosis(np.array([1.0, 2.0, 3.0]))
@@ -394,8 +404,8 @@ def outcome(fn, *args):
     exception type it raised."""
     try:
         return np.asarray(fn(*args), dtype=np.float64).tobytes()
-    except ZeroVariance:
-        return ZeroVariance
+    except (ZeroVariance, FloatOverflow) as exc:
+        return type(exc)
 
 
 def test_denoise_kernels_match_the_generic_forms_bit_for_bit():
@@ -403,11 +413,14 @@ def test_denoise_kernels_match_the_generic_forms_bit_for_bit():
     for n in ORACLE_LENGTHS:
         for name, x in oracle_signals(n, rng):
             label = f"{name} n={n}"
-            # 1e300 overflows kurtosis's fourth power; both forms then
-            # give the same inf or nan.
+            # 1e300 overflows kurtosis's fourth power: where the generic
+            # form then gives inf or nan from finite samples, kurtosis raises.
             with np.errstate(over="ignore", invalid="ignore"):
-                assert (outcome(wv.kurtosis, x)
-                        == outcome(signal_oracle.kurtosis, x)), label
+                want = outcome(signal_oracle.kurtosis, x)
+            if (isinstance(want, bytes) and not np.isfinite(np.frombuffer(want)[0])
+                    and np.isfinite(x).all()):
+                want = FloatOverflow
+            assert outcome(wv.kurtosis, x) == want, label
             if n >= wv.SAVGOL.size:
                 assert (outcome(wv.savgol_filter, x)
                         == outcome(signal_oracle.savgol_filter, x)), label
