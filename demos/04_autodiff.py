@@ -25,9 +25,10 @@ ad.backward(loss)
 print("loss:", float(loss.data))
 print("dloss/dw2 shape:", w2.grad.shape, " norm:", np.linalg.norm(w2.grad))
 
-# gradients accumulate over fan-out: d/dx sum(x + x) = 2
+# gradients accumulate over fan-out: d/dy sum(y + y) = 2, the sum being
+# the mean times the count
 y = Tensor(np.ones(3), requires_grad=True)
-ad.backward(ad.total(ad.add(y, y)))
+ad.backward(ad.mul(ad.mean(ad.add(y, y)), 3))
 print("fan-out gradient:", y.grad)
 
 # the analytic gradient matches central finite differences

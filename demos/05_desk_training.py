@@ -32,11 +32,10 @@ params, history = tr.train(train_set, model_cfg, train_cfg,
 for stats in history[::6] + [history[-1]]:
     print(f"  epoch {stats.epoch:3d}  train loss {stats.train_loss:.4f}")
 
-preds = md.predict_batch(params, model_cfg, held_out)
 targets = held_out["label"].astype(np.float64)
-batch = tr.PredictionBatch(preds, targets)
+report = tr.metrics_report(md.predict_batch(params, held_out), targets)
 baseline = np.abs(targets - train_set["label"].astype(np.float64).mean()).mean()
-print(f"\nheld-out MAE: {tr.mae(batch):.4f}   predict-the-mean baseline: "
+print(f"\nheld-out MAE: {report['mae']:.4f}   predict-the-mean baseline: "
       f"{baseline:.4f}")
-print(f"score (mean): {tr.score(batch):.4f}   late fraction: "
-      f"{tr.late_fraction(batch):.2f}")
+print(f"score (mean): {report['score_mean']:.4f}   late fraction: "
+      f"{report['late_fraction']:.2f}")

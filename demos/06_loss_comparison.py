@@ -26,10 +26,9 @@ print(f"{'loss':8s} {'MAE':>8s} {'score':>8s} {'late':>6s}")
 for kind in ("mse", "custom"):
     params, _ = tr.train(train_set, model_cfg, train_cfg,
                          tr.LossConfig(kind=kind, lam=1.0))
-    preds = md.predict_batch(params, model_cfg, held_out)
-    batch = tr.PredictionBatch(preds, targets)
-    print(f"{kind:8s} {tr.mae(batch):8.4f} {tr.score(batch):8.4f} "
-          f"{tr.late_fraction(batch):6.2f}")
+    report = tr.metrics_report(md.predict_batch(params, held_out), targets)
+    print(f"{kind:8s} {report['mae']:8.4f} {report['score_mean']:8.4f} "
+          f"{report['late_fraction']:6.2f}")
 
 print("\nthe hinge pushes predictions toward the early side: a late miss")
 print("delays maintenance, an early one only schedules it sooner.")

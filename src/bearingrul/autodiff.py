@@ -338,18 +338,6 @@ def mean(a, axis=None, keepdims: bool = False):
     return _result(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def total(a, axis=None, keepdims: bool = False):
-    a = _wrap(a)
-    sa = a.data.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, sa).copy(),)
-
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
 def gather_rows(table, index):
     """out[i] = table[index[i]]; backward scatter-adds into the table."""
     table = _wrap(table)

@@ -200,7 +200,7 @@ def cmd_train(cfg, out: Path):
     lcfg = training.LossConfig(kind=cfg["loss"], lam=cfg["lam"])
     params, history = training.train(train_set, mcfg, tcfg, lcfg,
                                      val_dataset=val_set)
-    dataio.save_checkpoint(params, mcfg, out / "checkpoint.ckpt")
+    dataio.save_checkpoint(params, out / "checkpoint.ckpt")
     _write_text(out / "history.csv", _csv(
         [(h.epoch, h.train_loss, "" if h.val_mae is None else repr(h.val_mae))
          for h in history],
@@ -219,15 +219,13 @@ def _evaluate(cfg):
     samples = dataio.load_dataset(cfg["dataset"])
     if not len(samples):
         raise EmptyDataset(f"{cfg['dataset']}: no samples to predict")
-    params, mcfg = dataio.load_checkpoint(cfg["checkpoint"])
-    preds = model.predict_batch(params, mcfg, samples)
+    params = dataio.load_checkpoint(cfg["checkpoint"])
+    preds = model.predict_batch(params, samples)
     return preds, samples["label"]
 
 
 def cmd_eval(cfg, out: Path):
-    preds, targets = _evaluate(cfg)
-    batch = training.PredictionBatch(preds, targets)
-    _write_json(out / "metrics.json", training.metrics_report(batch))
+    _write_json(out / "metrics.json", training.metrics_report(*_evaluate(cfg)))
     return [cfg["dataset"], cfg["checkpoint"]]
 
 
@@ -258,10 +256,9 @@ def cmd_exp_loss(cfg, out: Path):
     for kind in ("mse", "custom"):
         lcfg = training.LossConfig(kind=kind, lam=cfg["lam"])
         params, history = training.train(train_set, mcfg, tcfg, lcfg)
-        preds = model.predict_batch(params, mcfg, val_set)
+        preds = model.predict_batch(params, val_set)
         del params  # free this twin's weights and gradients before the next
-        report[kind] = training.metrics_report(
-            training.PredictionBatch(preds, targets))
+        report[kind] = training.metrics_report(preds, targets)
         _write_text(out / f"history_{kind}.csv", _csv(
             [(h.epoch, h.train_loss) for h in history], ("epoch", "loss")))
     report["delta"] = {k: report["custom"][k] - report["mse"][k]

@@ -22,9 +22,10 @@ Checkpoint (.ckpt):
                   (name + shape per entry, in model.param_layout order)
     blob          f64[P]: ModelParams.flat, the P parameters in manifest order
 
-A checkpoint loads only if its header parses, its config is valid, its
-init seed is an integer, its manifest equals that config's layout and the
-blob holds exactly P finite values; anything else is a CorruptContainer.
+load_checkpoint returns the ModelParams, which carry the header's config,
+only if the header parses, the config is valid, the init seed is an
+integer, the manifest equals that config's layout and the blob holds
+exactly P finite values; anything else is a CorruptContainer.
 Both containers round-trip bit-exactly.
 """
 
@@ -180,7 +181,7 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
                            ver_col: int = 5) -> BearingRecord:
     """Load one bearing folder of per-snapshot acceleration CSVs.
 
-    Files are ordered by their numeric suffix regardless of on-disk order.
+    Files are ordered by numeric suffix, then name, not by on-disk order.
     Default column layout follows the public distribution: four timestamp
     fields, then horizontal and vertical acceleration; pass hor_col/ver_col
     for variant exports. Temperature files are ignored. Files must be
@@ -192,7 +193,7 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     root = Path(directory)
     if not root.is_dir():
         raise MissingDirectory(f"{root} is not a directory")
-    files = sorted(root.glob("acc*.csv"), key=_numeric_suffix)
+    files = sorted(root.glob("acc*.csv"), key=lambda p: (_numeric_suffix(p), p.name))
     if not files:
         raise MissingDirectory(f"no acceleration CSVs under {root}")
     # The first file sizes the record; each row is filled in place.
@@ -530,9 +531,10 @@ def _manifest(cfg: ModelConfig) -> list:
             for name, shape in param_layout(cfg)]
 
 
-def save_checkpoint(params: ModelParams, cfg: ModelConfig, path):
+def save_checkpoint(params: ModelParams, path):
     path = Path(path)
-    validate_params(params, cfg)
+    validate_params(params)
+    cfg = params.cfg
     header = json.dumps({"config": cfg.to_dict(), "init_seed": params.init_seed,
                          "manifest": _manifest(cfg)}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -544,7 +546,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path):
 
 
 def load_checkpoint(path):
-    """Returns (params, config); parameters are trainable tensors."""
+    """The checkpoint's ModelParams, trainable tensors over its config."""
     path = Path(path)
     blob = path.read_bytes()
     head = CHECKPOINT_HEADER.size
@@ -579,4 +581,4 @@ def load_checkpoint(path):
     bad = np.count_nonzero(~np.isfinite(flat))
     if bad:
         raise CorruptContainer(f"{path}: {bad} non-finite parameter values")
-    return ModelParams(cfg, flat.astype(np.float64), init_seed), cfg
+    return ModelParams(cfg, flat.astype(np.float64), init_seed)

@@ -30,6 +30,9 @@ from .features import IMAGE_SIDE
 logger = logging.getLogger(__name__)
 
 MASK_OFF = -1e30  # pre-softmax mask value; exp() underflows to exactly 0
+# Samples per predict_batch forward pass: the CLI's training batch, which keeps
+# the largest temporary (the desk stem's conv output, 256 KiB a sample) at 4 MiB.
+PREDICT_CHUNK = 16
 # Threads predict_batch runs its chunks on, at most: the only count measured
 # (on 2 CPUs); each thread adds one chunk's working set to the peak.
 _PREDICT_THREADS = 2
@@ -272,11 +275,8 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     return params
 
 
-def validate_params(params: ModelParams, cfg: ModelConfig):
-    """The params must be built from cfg, and every tensor view flat."""
-    if params.cfg != cfg:
-        raise ConfigMismatch(f"params were built for another config (preset "
-                             f"{params.cfg.preset!r}, given {cfg.preset!r})")
+def validate_params(params: ModelParams):
+    """Every tensor must still view the flat parameter vector."""
     for name, tensor in params.tensors.items():
         if tensor.data.base is not params.flat:
             raise ConfigMismatch(
@@ -446,19 +446,18 @@ def prepare_images(images, input_side: int) -> np.ndarray:
     return x
 
 
-def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
-                  ver: np.ndarray, training: bool = False, rng=None) -> Tensor:
-    """Full network on prepared (N,1,S,S) inputs; returns predictions (N,).
+def forward_batch(params: ModelParams, records, training: bool = False,
+                  rng=None) -> Tensor:
+    """Full network of params.cfg on SAMPLE_DTYPE records, both images
+    through prepare_images; returns predictions (N,).
 
     With training=False (dropout off) the output is a pure function of the
-    inputs and parameters. Predictions are not clamped to [0, 1].
+    records and parameters. Predictions are not clamped to [0, 1].
     """
-    validate_params(params, cfg)
-    expected = (1, cfg.input_side, cfg.input_side)
-    if hor.shape[1:] != expected or ver.shape[1:] != expected:
-        raise ConfigMismatch(
-            f"inputs must be (N,{','.join(map(str, expected))}); "
-            f"got {hor.shape} / {ver.shape} (run prepare_images first)")
+    cfg = params.cfg
+    validate_params(params)
+    hor = prepare_images(records["hor"], cfg.input_side)
+    ver = prepare_images(records["ver"], cfg.input_side)
     n = hor.shape[0]
     tokens = fuse(conv_stem(Tensor(hor), params, "hor"),
                   conv_stem(Tensor(ver), params, "ver"), params)
@@ -481,17 +480,14 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, hor: np.ndarray,
     return ad.reshape(out, (n,))
 
 
-def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
-                  batch_size: int = 16) -> np.ndarray:
+def predict_batch(params: ModelParams, samples) -> np.ndarray:
     """Deterministic (dropout-off) predictions for SAMPLE_DTYPE records.
 
     Runs under autodiff.no_grad, so no graph is recorded, in chunks of
-    batch_size samples. The default, the CLI's training batch, keeps the
-    largest temporary (the desk stem's conv output, 256 KiB a sample) at
-    4 MiB. The chunk size can move a prediction's last bits:
-    test_predict_batch_chunks_of_16_match_chunks_of_64 pins equal bits for
-    perturbed initial weights only, and on trained desk weights chunks of
-    64 changed 1 of 97 predictions (ROADMAP item 11).
+    PREDICT_CHUNK samples. The chunk size can move a prediction's last
+    bits: test_predict_batch_chunks_of_16_match_chunks_of_64 pins equal
+    bits for perturbed initial weights only, and on trained desk weights
+    chunks of 64 changed 1 of 97 predictions (ROADMAP item 11).
 
     Chunks are independent forward passes, and numpy releases the GIL in
     BLAS and its loops, so they run on min(_PREDICT_THREADS, usable CPUs,
@@ -505,12 +501,9 @@ def predict_batch(params: ModelParams, cfg: ModelConfig, samples,
     later fork (dataio._in_slices).
     """
     def chunk_preds(start: int) -> np.ndarray:
-        chunk = samples[start:start + batch_size]
-        hor = prepare_images(chunk["hor"], cfg.input_side)
-        ver = prepare_images(chunk["ver"], cfg.input_side)
-        return forward_batch(params, cfg, hor, ver, training=False).data
+        return forward_batch(params, samples[start:start + PREDICT_CHUNK]).data
 
-    starts = range(0, len(samples), batch_size)
+    starts = range(0, len(samples), PREDICT_CHUNK)
     threads = min(_PREDICT_THREADS, _usable_cpus(), len(starts))
     with ad.no_grad():
         if threads <= 1:

@@ -1,4 +1,4 @@
-"""Losses, Adam, the training loop, and evaluation metrics.
+"""Losses, Adam, the training loop, and the evaluation metrics report.
 
 The asymmetric loss adds a hinge on overestimation to plain MSE:
 
@@ -10,7 +10,8 @@ asymmetric: a sample with error e contributes exp(e/5) - 1 when late
 (e >= 0) and exp(-e/15) - 1 when early, i.e. a late miss costs about three
 times an equally large early one. Note the per-sample score term is
 positive for any nonzero error; when comparing models on this metric the
-convention reported alongside (sum or mean) must match.
+convention reported alongside (sum or mean) must match. metrics_report
+computes every metric from one vector of errors, preds - targets.
 """
 
 import math
@@ -53,32 +54,6 @@ class TrainConfig:
                                 "and batch_size positive")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
-
-
-@dataclass
-class PredictionBatch:
-    """Aligned predictions and targets; targets are normalized RUL in [0,1]."""
-
-    preds: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.preds = np.asarray(self.preds, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.preds.size == 0:
-            raise EmptyBatch("empty prediction batch")
-        if self.preds.shape != self.targets.shape:
-            raise ShapeMismatch(
-                f"preds {self.preds.shape} vs targets {self.targets.shape}")
-        if self.targets.min() < 0.0 or self.targets.max() > 1.0:
-            raise ValueError("targets must lie in [0, 1]")
-
-    @property
-    def errors(self) -> np.ndarray:
-        return self.preds - self.targets
-
-    def __len__(self):
-        return self.preds.size
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +151,12 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     """Seeded full training run on SAMPLE_DTYPE records; returns (params,
     history), with val_dataset's MAE per epoch when it is nonempty.
 
-    Per epoch: shuffle (seeded), then per batch prepare the batch's
-    images (model.prepare_images, as predict_batch does per chunk) ->
-    forward -> loss -> backward -> Adam, so no whole-dataset image array
-    is held. A non-finite batch loss, or a non-finite parameter
-    after an epoch, aborts with DivergedLoss; numpy's overflow and
-    invalid-value warnings on the way there are silenced, so the error is
-    the only report.
+    Per epoch: shuffle (seeded), then per batch forward (which prepares
+    only that batch's images) -> loss -> backward -> Adam, so no
+    whole-dataset image array is held. A non-finite batch loss, or a
+    non-finite parameter after an epoch, aborts with DivergedLoss; numpy's
+    overflow and invalid-value warnings on the way there are silenced, so
+    the error is the only report.
     Epoch order, shuffling, dropout masks and updates are all derived from
     train_cfg.seed, so identical configs give bit-identical trajectories.
     """
@@ -205,11 +179,10 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             idx = order[start:start + train_cfg.batch_size]
             drop_rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=train_cfg.seed, spawn_key=(2, step)))
-            hor = model_mod.prepare_images(dataset["hor"][idx], model_cfg.input_side)
-            ver = model_mod.prepare_images(dataset["ver"][idx], model_cfg.input_side)
-            preds = model_mod.forward_batch(params, model_cfg, hor, ver,
-                                            training=True, rng=drop_rng)
-            loss = loss_node(preds, dataset["label"][idx], loss_cfg)
+            batch = dataset[idx]
+            preds = model_mod.forward_batch(params, batch, training=True,
+                                            rng=drop_rng)
+            loss = loss_node(preds, batch["label"], loss_cfg)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
@@ -223,8 +196,8 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             raise DivergedLoss(f"non-finite parameters after epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=loss_sum / n_seen)
         if len(val_dataset):
-            val_preds = model_mod.predict_batch(params, model_cfg, val_dataset)
-            stats.val_mae = mae(PredictionBatch(val_preds, val_dataset["label"]))
+            val_preds = model_mod.predict_batch(params, val_dataset)
+            stats.val_mae = metrics_report(val_preds, val_dataset["label"])["mae"]
         history.append(stats)
     return params, history
 
@@ -233,37 +206,22 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
 # Metrics
 # ---------------------------------------------------------------------------
 
-def mae(batch: PredictionBatch) -> float:
-    return float(np.mean(np.abs(batch.errors)))
-
-
 def score_terms(errors: np.ndarray) -> np.ndarray:
     e = np.asarray(errors, dtype=np.float64)
     return np.where(e < 0, np.expm1(-e / EARLY_RATE), np.expm1(e / HINGE_RATE))
 
 
-def score(batch: PredictionBatch, aggregation: str = "mean") -> float:
-    """Asymmetric exponential score; "sum" is the verbatim definition,
-    "mean" the size-independent reporting default."""
-    terms = score_terms(batch.errors)
-    if aggregation == "sum":
-        return float(terms.sum())
-    if aggregation == "mean":
-        return float(terms.mean())
-    raise ValueError(f"unknown aggregation {aggregation!r}")
-
-
-def late_fraction(batch: PredictionBatch) -> float:
-    """Fraction of samples predicted later than truth (pred > target)."""
-    return float(np.mean(batch.errors > 0))
-
-
-def metrics_report(batch: PredictionBatch) -> dict:
-    """The standard metrics bundle emitted by evaluation commands."""
+def metrics_report(preds, targets) -> dict:
+    """The metrics evaluation commands emit, from errors = preds - targets:
+    sample count, MAE, the score summed (the verbatim definition) and
+    averaged (size-independent), and the fraction predicted late."""
+    errors = (np.asarray(preds, dtype=np.float64)
+              - np.asarray(targets, dtype=np.float64))
+    terms = score_terms(errors)
     return {
-        "n": len(batch),
-        "mae": mae(batch),
-        "score_sum": score(batch, "sum"),
-        "score_mean": score(batch, "mean"),
-        "late_fraction": late_fraction(batch),
+        "n": errors.size,
+        "mae": float(np.mean(np.abs(errors))),
+        "score_sum": float(terms.sum()),
+        "score_mean": float(terms.mean()),
+        "late_fraction": float(np.mean(errors > 0)),
     }

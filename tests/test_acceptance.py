@@ -142,8 +142,7 @@ def test_criterion_4_labeling_properties():
 def test_criterion_5_loss_and_score_formulas():
     with criterion(5, "custom loss and score match hand-evaluated values; "
                       "lambda=0 equals MSE exactly"):
-        one = tr.PredictionBatch(np.array([0.8]), np.array([0.5]))
-        assert custom_loss(one, lam=1.0) == pytest.approx(0.39, abs=1e-12)
+        assert custom_loss([0.8], [0.5], lam=1.0) == pytest.approx(0.39, abs=1e-12)
 
         terms = tr.score_terms(np.array([0.0, 0.15, -0.15]))
         assert terms[0] == 0.0
@@ -152,9 +151,8 @@ def test_criterion_5_loss_and_score_formulas():
 
         rng = np.random.default_rng(105)
         for _ in range(50):
-            batch = tr.PredictionBatch(rng.normal(0.5, 0.4, size=12),
-                                       rng.random(12))
-            assert custom_loss(batch, lam=0.0) == mse_loss(batch)
+            batch = rng.normal(0.5, 0.4, size=12), rng.random(12)
+            assert custom_loss(*batch, lam=0.0) == mse_loss(*batch)
 
 
 # --- 6. autodiff gradchecks ---
@@ -189,7 +187,7 @@ def test_criterion_6_gradcheck_everything():
         x = fresh(3, 4, 5)
         check_op(lambda: ad.mean(x, axis=1), [x])
         x = fresh(3, 4, 5)
-        check_op(lambda: ad.total(x, axis=2), [x])
+        check_op(lambda: ad.mean(x, axis=2, keepdims=True), [x])
         x = fresh(3, 6)
         check_op(lambda: ad.softmax(x, axis=-1), [x])
         x, g, beta = fresh(4, 8), fresh(8), fresh(8)
@@ -213,18 +211,18 @@ def test_criterion_6_gradcheck_everything():
         jitter = np.random.default_rng(99)
         for name, shape in md.expected_shapes(cfg).items():
             params[name].data += jitter.uniform(-0.05, 0.05, size=shape)
-        hor = rng.random((2, 1, 32, 32))
-        ver = rng.random((2, 1, 32, 32))
+        samples = np.zeros(2, ft.SAMPLE_DTYPE)
+        samples["hor"], samples["ver"] = rng.random((2, 2, 64, 64))
         labels = rng.random(2)
         loss_cfg = tr.LossConfig(kind="custom", lam=1.0)
 
         def loss_value():
-            preds = md.forward_batch(params, cfg, hor, ver, training=False)
+            preds = md.forward_batch(params, samples, training=False)
             return float(tr.loss_node(preds, labels, loss_cfg).data)
 
         params.zero_grad()
         ad.backward(tr.loss_node(
-            md.forward_batch(params, cfg, hor, ver, training=False),
+            md.forward_batch(params, samples, training=False),
             labels, loss_cfg))
         h = 1e-5
         for name, tensor in params.tensors.items():
@@ -266,9 +264,9 @@ def test_criterion_7_desk_training():
         params, history = tr.train(train_set, cfg, tcfg, tr.LossConfig(kind="mse"))
         assert history[-1].train_loss < 0.5 * history[0].train_loss
 
-        preds = md.predict_batch(params, cfg, held_out)
+        preds = md.predict_batch(params, held_out)
         targets = held_out["label"].astype(np.float64)
-        model_mae = tr.mae(tr.PredictionBatch(preds, targets))
+        model_mae = tr.metrics_report(preds, targets)["mae"]
         train_mean = float(train_set["label"].astype(np.float64).mean())
         baseline_mae = float(np.mean(np.abs(targets - train_mean)))
         assert model_mae < baseline_mae, (model_mae, baseline_mae)
@@ -295,8 +293,8 @@ def test_criterion_8_late_prediction_reduction():
             for kind in ("mse", "custom"):
                 params, _ = tr.train(train_set, cfg, tcfg,
                                      tr.LossConfig(kind=kind, lam=1.0))
-                preds = md.predict_batch(params, cfg, held_out)
-                late[kind] = tr.late_fraction(tr.PredictionBatch(preds, targets))
+                preds = md.predict_batch(params, held_out)
+                late[kind] = tr.metrics_report(preds, targets)["late_fraction"]
             observed.append(late)
             wins += late["custom"] <= late["mse"]
         assert wins >= 4, observed

@@ -193,7 +193,7 @@ def test_eval_exact_predictions_give_zero_metrics(tmp_path):
     params = md.init_params(cfg, seed=0)
     params["head.out.b"].data[:] = 0.5
     ckpt = tmp_path / "const.ckpt"
-    dataio.save_checkpoint(params, cfg, ckpt)
+    dataio.save_checkpoint(params, ckpt)
     samples = random_records(4, np.random.default_rng(3))
     data = tmp_path / "const.bin"
     dataio.save_dataset(samples, data)
@@ -619,7 +619,7 @@ def test_non_finite_checkpoint_parameter_exits_three(name, value, dataset_path,
                                                      capsys):
     blob = bytearray(checkpoint_path.read_bytes())
     _, _, hlen = dataio.CHECKPOINT_HEADER.unpack_from(blob)
-    _, cfg = dataio.load_checkpoint(checkpoint_path)
+    cfg = dataio.load_checkpoint(checkpoint_path).cfg
     offset = 16 + hlen
     for entry, shape in md.param_layout(cfg):
         if entry == name:

@@ -22,7 +22,7 @@ from bearingrul.errors import (
     VersionMismatch,
 )
 import csv_lines
-from sample_arrays import records
+from sample_arrays import random_records, records
 
 
 def write_fixture_tree(root, rows_per_file=(4, 4, 4), mangle=None):
@@ -66,6 +66,24 @@ def test_load_orders_by_numeric_suffix(tmp_path):
     record = dataio.load_pronostia_bearing(bearing)
     np.testing.assert_allclose(record.horizontal[:, 0], [1.0, 2.0, 10.0])
     assert record.condition_id == 2
+
+
+def test_load_orders_equal_suffixes_by_name(tmp_path, monkeypatch):
+    """acc_01.csv and acc_1.csv share the suffix 1: the record's bytes must
+    not depend on the order the directory lists them in."""
+    bearing = tmp_path / "Bearing2_1"
+    bearing.mkdir()
+    for name, value in (("acc_1.csv", 2.0), ("acc_01.csv", 1.0)):
+        (bearing / name).write_text(f"0,0,0,0.0,{value!r},0.5\n")
+    listed = type(bearing).glob
+    loaded = []
+    for order in (sorted, lambda paths: sorted(paths, reverse=True)):
+        monkeypatch.setattr(type(bearing), "glob",
+                            lambda self, pattern, order=order: iter(
+                                order(listed(self, pattern))))
+        loaded.append(dataio.load_pronostia_bearing(bearing).horizontal)
+    assert loaded[0].tobytes() == loaded[1].tobytes()
+    np.testing.assert_array_equal(loaded[0][:, 0], [1.0, 2.0])
 
 
 def test_load_missing_directory(tmp_path):
@@ -704,15 +722,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=11)
     path = tmp_path / "model.ckpt"
-    dataio.save_checkpoint(params, cfg, path)
-    loaded, loaded_cfg = dataio.load_checkpoint(path)
-    assert loaded_cfg == cfg
+    dataio.save_checkpoint(params, path)
+    loaded = dataio.load_checkpoint(path)
+    assert loaded.cfg == cfg
     assert loaded.init_seed == 11
     assert list(loaded.tensors) == list(params.tensors)  # one order for both
     for name in params.tensors:
         assert np.array_equal(loaded[name].data, params[name].data)
     assert np.array_equal(loaded.flat, params.flat)
-    md.validate_params(loaded, cfg)
+    md.validate_params(loaded)
 
 
 def test_checkpoint_preserves_forward_outputs(tmp_path):
@@ -720,12 +738,11 @@ def test_checkpoint_preserves_forward_outputs(tmp_path):
     params = md.init_params(cfg, seed=12)
     rng = np.random.default_rng(13)
     params["head.out.w"].data[...] = rng.normal(size=params["head.out.w"].shape)
-    hor, ver = rng.random((2, 1, 32, 32)), rng.random((2, 1, 32, 32))
-    before = md.forward_batch(params, cfg, hor, ver).data
+    samples = random_records(2, rng)
+    before = md.forward_batch(params, samples).data
     path = tmp_path / "model.ckpt"
-    dataio.save_checkpoint(params, cfg, path)
-    loaded, loaded_cfg = dataio.load_checkpoint(path)
-    after = md.forward_batch(loaded, loaded_cfg, hor, ver).data
+    dataio.save_checkpoint(params, path)
+    after = md.forward_batch(dataio.load_checkpoint(path), samples).data
     assert np.array_equal(before, after)
 
 
@@ -735,14 +752,14 @@ def test_save_checkpoint_rejects_a_rebound_tensor(tmp_path):
     params["head.out.w"].data = params["head.out.w"].data + 1.0
     path = tmp_path / "model.ckpt"
     with pytest.raises(ConfigMismatch):
-        dataio.save_checkpoint(params, cfg, path)
+        dataio.save_checkpoint(params, path)
     assert not path.exists()
 
 
 def test_checkpoint_truncated(tmp_path):
     cfg = md.desk_config()
     path = tmp_path / "model.ckpt"
-    dataio.save_checkpoint(md.init_params(cfg, seed=0), cfg, path)
+    dataio.save_checkpoint(md.init_params(cfg, seed=0), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(CorruptContainer):
@@ -752,7 +769,7 @@ def test_checkpoint_truncated(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     cfg = md.desk_config()
     path = tmp_path / "model.ckpt"
-    dataio.save_checkpoint(md.init_params(cfg, seed=0), cfg, path)
+    dataio.save_checkpoint(md.init_params(cfg, seed=0), path)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"ZZZZ"
     path.write_bytes(bytes(blob))

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 import bearingrul.autodiff as ad
-from bearingrul import model as md
+from bearingrul import features as ft, model as md
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import ConfigMismatch, IndivisibleGrid, OddGrid
 from gradcheck import check_op
 from sample_arrays import random_records
 
 
-def forward_one(sample, params, cfg):
-    """Predicted RUL for one dataset record: the oracle for predict_batch."""
-    hor = md.prepare_images(sample["hor"][None], cfg.input_side)
-    ver = md.prepare_images(sample["ver"][None], cfg.input_side)
-    return float(md.forward_batch(params, cfg, hor, ver).data[0])
+def forward_one(samples, i, params):
+    """Predicted RUL for record i alone: the oracle for predict_batch."""
+    return float(md.forward_batch(params, samples[i:i + 1]).data[0])
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +96,6 @@ def test_init_is_seeded():
         assert np.array_equal(a[name].data, b[name].data)
 
 
-def test_validate_params_catches_mismatch(desk):
-    cfg, params = desk
-    with pytest.raises(ConfigMismatch):
-        md.validate_params(params, md.paper_config())
-
-
 def test_params_view_one_flat_vector_in_sorted_name_order(desk):
     cfg, params = desk
     names = sorted(md.expected_shapes(cfg))
@@ -138,7 +130,7 @@ def test_validate_params_rejects_a_rebound_tensor():
     params = md.init_params(cfg, seed=0)
     params["head.out.w"].data = np.ones(params["head.out.w"].shape)
     with pytest.raises(ConfigMismatch, match="head.out.w"):
-        md.validate_params(params, cfg)
+        md.validate_params(params)
 
 
 # --- stems and fusion ---
@@ -287,51 +279,40 @@ def test_shifted_window_blocks_per_stage(cfg, shifted, monkeypatch):
         return real(tokens, params, prefix, heads, window, shifted)
 
     monkeypatch.setattr(md, "window_attention", spy)
-    x = np.zeros((1, 1, cfg.input_side, cfg.input_side))
-    md.forward_batch(md.init_params(cfg, seed=0), cfg, x, x)
+    md.forward_batch(md.init_params(cfg, seed=0), np.zeros(1, ft.SAMPLE_DTYPE))
     assert counts == shifted
 
 
 def test_forward_batch_shape_and_finite(desk):
-    cfg, params = desk
+    _, params = desk
     rng = np.random.default_rng(8)
-    out = md.forward_batch(params, cfg, rng.random((3, 1, 32, 32)),
-                           rng.random((3, 1, 32, 32)))
+    out = md.forward_batch(params, random_records(3, rng))
     assert out.data.shape == (3,)
     assert np.all(np.isfinite(out.data))
 
 
-def test_forward_batch_rejects_wrong_side(desk):
-    cfg, params = desk
-    with pytest.raises(ConfigMismatch):
-        md.forward_batch(params, cfg, np.zeros((1, 1, 64, 64)),
-                         np.zeros((1, 1, 64, 64)))
-
-
 def test_forward_deterministic_without_dropout(desk):
-    cfg, params = desk
-    rng = np.random.default_rng(9)
-    hor, ver = rng.random((2, 1, 32, 32)), rng.random((2, 1, 32, 32))
-    a = md.forward_batch(params, cfg, hor, ver, training=False).data
-    b = md.forward_batch(params, cfg, hor, ver, training=False).data
+    _, params = desk
+    samples = random_records(2, np.random.default_rng(9))
+    a = md.forward_batch(params, samples, training=False).data
+    b = md.forward_batch(params, samples, training=False).data
     assert np.array_equal(a, b)
 
 
 def test_forward_batch_permutation_equivariant(desk):
-    cfg, params = desk
-    rng = np.random.default_rng(10)
-    hor, ver = rng.random((4, 1, 32, 32)), rng.random((4, 1, 32, 32))
-    out = md.forward_batch(params, cfg, hor, ver).data
+    _, params = desk
+    samples = random_records(4, np.random.default_rng(10))
+    out = md.forward_batch(params, samples).data
     perm = np.array([2, 0, 3, 1])
-    out_perm = md.forward_batch(params, cfg, hor[perm], ver[perm]).data
+    out_perm = md.forward_batch(params, samples[perm]).data
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
 
 def test_forward_single_sample_smoke(desk):
-    cfg, params = desk
-    sample = random_records(1, np.random.default_rng(11))[0]
+    _, params = desk
+    samples = random_records(1, np.random.default_rng(11))
     started = time.time()
-    value = forward_one(sample, params, cfg)
+    value = forward_one(samples, 0, params)
     assert np.isfinite(value)
     assert time.time() - started < 0.5
 
@@ -358,14 +339,14 @@ def test_prepare_images_native_side_passthrough():
 
 
 def test_predict_batch_matches_forward(desk):
-    cfg, params = desk
+    _, params = desk
     samples = random_records(3, np.random.default_rng(13))
-    preds = md.predict_batch(params, cfg, samples)
-    singles = [forward_one(s, params, cfg) for s in samples]
+    preds = md.predict_batch(params, samples)
+    singles = [forward_one(samples, i, params) for i in range(len(samples))]
     np.testing.assert_allclose(preds, singles, atol=1e-12)
 
 
-def test_predict_batch_chunks_of_16_match_chunks_of_64():
+def test_predict_batch_chunks_of_16_match_chunks_of_64(monkeypatch):
     """The default chunk of 16 gives the bits that chunks of 64 gave.
 
     Not every chunk size does: with OpenBLAS, chunks of 1, 3 or 33 move
@@ -375,15 +356,16 @@ def test_predict_batch_chunks_of_16_match_chunks_of_64():
     params = md.init_params(cfg, seed=7)
     params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
     samples = random_records(37, np.random.default_rng(15))
-    preds = md.predict_batch(params, cfg, samples)
-    assert np.unique(preds).size == len(samples)
+    preds = md.predict_batch(params, samples)
+    assert md.PREDICT_CHUNK == 16 and np.unique(preds).size == len(samples)
     for size in (64, 32, 20):
-        chunked = md.predict_batch(params, cfg, samples, batch_size=size)
+        monkeypatch.setattr(md, "PREDICT_CHUNK", size)
+        chunked = md.predict_batch(params, samples)
         assert chunked.tobytes() == preds.tobytes()
 
 
 def test_predict_batch_records_no_graph(desk, monkeypatch):
-    cfg, params = desk
+    _, params = desk
     samples = random_records(3, np.random.default_rng(14))
     outputs = []
     real = md.forward_batch
@@ -393,7 +375,8 @@ def test_predict_batch_records_no_graph(desk, monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(md, "forward_batch", spy)
-    md.predict_batch(params, cfg, samples, batch_size=2)
+    monkeypatch.setattr(md, "PREDICT_CHUNK", 2)
+    md.predict_batch(params, samples)
     assert len(outputs) == 2
     assert all(not o.requires_grad and o._node is None for o in outputs)
     assert ad.no_grad.recording
@@ -421,7 +404,7 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
     """Any thread count gives the bytes of one forward pass per 16-sample
     chunk, run one after another on this thread, also with threads
     switched as often as the interpreter allows."""
-    cfg, params, samples = perturbed
+    _, params, samples = perturbed
     ran_on = set()
     real = md.forward_batch
 
@@ -430,10 +413,7 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
         return real(*args, **kwargs)
 
     def serial(chunks):
-        return np.concatenate([real(
-            params, cfg, md.prepare_images(c["hor"], cfg.input_side),
-            md.prepare_images(c["ver"], cfg.input_side)).data
-            for c in chunks])
+        return np.concatenate([real(params, c).data for c in chunks])
 
     for n in (1, 15, 16, 17, 37, 65):
         oracle = serial(samples[i:min(i + 16, n)] for i in range(0, n, 16))
@@ -443,7 +423,7 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            preds = md.predict_batch(params, cfg, samples[:n])
+            preds = md.predict_batch(params, samples[:n])
         finally:
             sys.setswitchinterval(interval)
             monkeypatch.undo()
@@ -455,17 +435,17 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
 def test_predict_batch_threads_keep_the_callers_errstate(perturbed, monkeypatch):
     """Chunks run in the caller's numpy error state, as train's validation
     needs: an overflow it ignores must not warn in a worker thread."""
-    cfg, params, samples = perturbed
+    _, params, samples = perturbed
     force_threads(monkeypatch, 2)
     flat = params.flat.copy()
     try:
         params.flat *= 1e120
         with pytest.raises(RuntimeWarning, match="overflow"):
-            md.predict_batch(params, cfg, samples[:32])
+            md.predict_batch(params, samples[:32])
         with np.errstate(over="ignore", invalid="ignore"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                md.predict_batch(params, cfg, samples[:32])
+                md.predict_batch(params, samples[:32])
     finally:
         params.flat[:] = flat
 
@@ -474,25 +454,25 @@ def test_predict_batch_threads_raise_the_first_failing_chunk(perturbed,
                                                              monkeypatch):
     """A failing chunk raises what the serial loop raises, the first failure
     in chunk order, and leaves recording on and no thread running."""
-    cfg, params, samples = perturbed
+    _, params, samples = perturbed
     marked = samples[:37].copy()  # chunks of 16, 16 and 5
     marked["hor"][:, 0, 0] = np.repeat([10, 11, 12], [16, 16, 5])
     real = md.forward_batch
 
-    def fail_chunks_1_and_2(params, cfg, hor, ver, **kwargs):
-        chunk = round(hor[0, 0, 0, 0]) - 10  # the block max keeps the mark
+    def fail_chunks_1_and_2(params, records, **kwargs):
+        chunk = round(records["hor"][0, 0, 0]) - 10
         if chunk == 1:  # the first failing chunk fails last
             time.sleep(0.2)
         if chunk:
             raise ValueError(f"chunk {chunk} failed")
-        return real(params, cfg, hor, ver, **kwargs)
+        return real(params, records, **kwargs)
 
     monkeypatch.setattr(md, "forward_batch", fail_chunks_1_and_2)
     for threads in (1, 2):
         force_threads(monkeypatch, threads)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^chunk 1 failed$"):
-            md.predict_batch(params, cfg, marked)
+            md.predict_batch(params, marked)
         assert ad.no_grad.recording
         assert threading.active_count() == before
 
@@ -503,12 +483,12 @@ def test_dropout_seed_changes_training_output():
     rng = np.random.default_rng(14)
     # the final layer starts at zero, which would hide mask differences
     params["head.out.w"].data[...] = rng.normal(size=params["head.out.w"].shape)
-    hor, ver = rng.random((2, 1, 32, 32)), rng.random((2, 1, 32, 32))
-    a = md.forward_batch(params, cfg, hor, ver, training=True,
+    samples = random_records(2, rng)
+    a = md.forward_batch(params, samples, training=True,
                          rng=np.random.default_rng(0)).data
-    b = md.forward_batch(params, cfg, hor, ver, training=True,
+    b = md.forward_batch(params, samples, training=True,
                          rng=np.random.default_rng(0)).data
-    c = md.forward_batch(params, cfg, hor, ver, training=True,
+    c = md.forward_batch(params, samples, training=True,
                          rng=np.random.default_rng(1)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)

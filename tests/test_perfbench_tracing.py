@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bearingrul import dataio
 from bearingrul import features as ft
@@ -29,15 +30,13 @@ def test_tracer_spans_a_forward_pass_and_restores_every_original():
     targets = [(mod, name) for mod, name, _ in tracing._spans()]
     targets += [(tracing.autodiff, name) for name in tracing._autodiff_ops()]
     originals = [getattr(mod, name) for mod, name in targets]
-    cfg = md.desk_config()
-    params = md.init_params(cfg, seed=0)
-    x = np.zeros((1, 1, cfg.input_side, cfg.input_side))
+    params = md.init_params(md.desk_config(), seed=0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert all(getattr(mod, name) is not fn
                    for (mod, name), fn in zip(targets, originals))
-        md.forward_batch(params, cfg, x, x)
+        md.forward_batch(params, np.zeros(1, ft.SAMPLE_DTYPE))
     finally:
         tracer.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in zip(targets, originals))
@@ -46,6 +45,32 @@ def test_tracer_spans_a_forward_pass_and_restores_every_original():
             "model.conv_stem.ver",
             *(f"model.window_attention.stage{i}" for i in range(4)),
             *(f"model.patch_merging.merge{i}" for i in range(3))} <= set(tracer.calls)
+
+
+def test_predict_chunk_spans_its_image_preparation_inside_the_forward_pass():
+    """An inline predict_batch chunk (16 samples or fewer, so no second
+    thread) prepares both images of its records inside forward_batch: two
+    prepare_images spans nest in each forward_batch span, and the forward
+    pass's self time leaves their time out."""
+    tracing = load_tracing()
+    params = md.init_params(md.desk_config(), seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        md.predict_batch(params, np.zeros(md.PREDICT_CHUNK, ft.SAMPLE_DTYPE))
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    assert tracer.calls["model.forward_batch"] == 1
+    assert tracer.calls["model.prepare_images"] == 2
+    children = sum(tracer.seconds[name] for name in (
+        "model.prepare_images", "model.fuse", "model.conv_stem.hor",
+        "model.conv_stem.ver", *(f"model.window_attention.stage{i}" for i in range(4)),
+        *(f"model.patch_merging.merge{i}" for i in range(3))))
+    forward = tracer.seconds["model.forward_batch"]
+    assert tracer.self_seconds["model.forward_batch"] == pytest.approx(
+        forward - children, abs=1e-9)
+    assert 0 < tracer.seconds["model.prepare_images"] < forward
 
 
 def test_featurize_denoises_every_snapshot_once_per_channel():

@@ -9,12 +9,8 @@ import bearingrul.autodiff as ad
 from bearingrul import model as md, training as tr
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import DivergedLoss, EmptyBatch, EmptyDataset, ShapeMismatch
-from loss_oracle import custom_loss, mse_loss
-from sample_arrays import records
-
-
-def batch(preds, targets):
-    return tr.PredictionBatch(np.asarray(preds, float), np.asarray(targets, float))
+from loss_oracle import custom_loss, errors, mse_loss
+from sample_arrays import random_records, records
 
 
 def tiny_dataset(n=12, seed=0):
@@ -26,45 +22,40 @@ def tiny_dataset(n=12, seed=0):
 # --- loss formulas ---
 
 def test_custom_loss_late_example():
-    assert custom_loss(batch([0.8], [0.5]), lam=1.0) == pytest.approx(0.39, abs=1e-12)
+    assert custom_loss([0.8], [0.5], lam=1.0) == pytest.approx(0.39, abs=1e-12)
 
 
 def test_custom_loss_early_example():
-    assert custom_loss(batch([0.2], [0.5]), lam=1.0) == pytest.approx(0.09, abs=1e-12)
+    assert custom_loss([0.2], [0.5], lam=1.0) == pytest.approx(0.09, abs=1e-12)
 
 
 def test_custom_loss_zero_at_exact():
-    assert custom_loss(batch([0.3, 0.7], [0.3, 0.7]), lam=2.0) == 0.0
+    assert custom_loss([0.3, 0.7], [0.3, 0.7], lam=2.0) == 0.0
 
 
 def test_custom_loss_lambda_zero_equals_mse_exactly():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        b = batch(rng.normal(0.5, 0.3, size=8), rng.random(8))
-        assert custom_loss(b, lam=0.0) == mse_loss(b)
+        b = rng.normal(0.5, 0.3, size=8), rng.random(8)
+        assert custom_loss(*b, lam=0.0) == mse_loss(*b)
 
 
 def test_custom_loss_dominates_mse():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        b = batch(rng.normal(0.5, 0.4, size=6), rng.random(6))
-        assert custom_loss(b, lam=1.0) >= mse_loss(b)
-        if np.all(b.errors <= 0):
-            assert custom_loss(b, lam=1.0) == mse_loss(b)
+        b = rng.normal(0.5, 0.4, size=6), rng.random(6)
+        assert custom_loss(*b, lam=1.0) >= mse_loss(*b)
+        if np.all(errors(*b) <= 0):
+            assert custom_loss(*b, lam=1.0) == mse_loss(*b)
 
 
 def test_mse_loss_example():
-    assert mse_loss(batch([1.0, 0.0], [0.0, 1.0])) == 1.0
+    assert mse_loss([1.0, 0.0], [0.0, 1.0]) == 1.0
 
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
-        batch([], [])
-
-
-def test_targets_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        batch([0.5], [1.5])
+        tr.loss_node(Tensor(np.zeros(0)), np.zeros(0), tr.LossConfig())
 
 
 def test_loss_node_matches_metric_value():
@@ -73,7 +64,7 @@ def test_loss_node_matches_metric_value():
     targets = rng.random(10)
     node = tr.loss_node(Tensor(preds), targets, tr.LossConfig(kind="custom", lam=1.3))
     assert float(node.data) == pytest.approx(
-        custom_loss(batch(preds, targets), 1.3), rel=1e-12)
+        custom_loss(preds, targets, 1.3), rel=1e-12)
 
 
 def test_loss_node_gradient_matches_finite_difference():
@@ -88,9 +79,9 @@ def test_loss_node_gradient_matches_finite_difference():
     for i in range(8):
         shifted = preds.copy()
         shifted[i] += h
-        up = custom_loss(batch(shifted, targets), 1.0)
+        up = custom_loss(shifted, targets, 1.0)
         shifted[i] -= 2 * h
-        down = custom_loss(batch(shifted, targets), 1.0)
+        down = custom_loss(shifted, targets, 1.0)
         num = (up - down) / (2 * h)
         assert abs(p.grad[i] - num) / max(abs(num), 1e-8) < 1e-6
 
@@ -104,16 +95,16 @@ def test_hinge_subgradient_zero_at_tie():
 # --- scoring metric ---
 
 def test_score_zero_error():
-    assert tr.score(batch([0.5], [0.5])) == 0.0
+    assert tr.metrics_report([0.5], [0.5])["score_mean"] == 0.0
 
 
 def test_score_late_example():
-    term = tr.score(batch([0.65], [0.5]), aggregation="sum")
+    term = tr.metrics_report([0.65], [0.5])["score_sum"]
     assert term == pytest.approx(0.030455, abs=1e-6)
 
 
 def test_score_early_example():
-    term = tr.score(batch([0.35], [0.5]), aggregation="sum")
+    term = tr.metrics_report([0.35], [0.5])["score_sum"]
     assert term == pytest.approx(0.010050, abs=1e-6)
 
 
@@ -129,51 +120,49 @@ def test_score_late_exceeds_early_for_equal_magnitude():
 def test_score_sum_additive_over_partitions():
     rng = np.random.default_rng(5)
     preds, targets = rng.normal(0.5, 0.3, 10), rng.random(10)
-    whole = tr.score(batch(preds, targets), "sum")
-    parts = (tr.score(batch(preds[:4], targets[:4]), "sum")
-             + tr.score(batch(preds[4:], targets[4:]), "sum"))
+    whole = tr.metrics_report(preds, targets)["score_sum"]
+    parts = (tr.metrics_report(preds[:4], targets[:4])["score_sum"]
+             + tr.metrics_report(preds[4:], targets[4:])["score_sum"])
     assert whole == pytest.approx(parts, rel=1e-12)
 
 
 def test_score_mean_is_sum_over_n():
     rng = np.random.default_rng(6)
-    b = batch(rng.normal(0.5, 0.2, 7), rng.random(7))
-    assert tr.score(b, "mean") == pytest.approx(tr.score(b, "sum") / 7, rel=1e-12)
-
-
-def test_score_unknown_aggregation():
-    with pytest.raises(ValueError):
-        tr.score(batch([0.5], [0.5]), "median")
+    r = tr.metrics_report(rng.normal(0.5, 0.2, 7), rng.random(7))
+    assert r["score_mean"] == pytest.approx(r["score_sum"] / 7, rel=1e-12)
 
 
 # --- MAE / late fraction ---
 
 def test_mae_example():
-    assert tr.mae(batch([0.2, 0.4], [0.1, 0.5])) == pytest.approx(0.1, abs=1e-12)
+    mae = tr.metrics_report([0.2, 0.4], [0.1, 0.5])["mae"]
+    assert mae == pytest.approx(0.1, abs=1e-12)
 
 
 def test_mae_permutation_invariant():
-    b1 = batch([0.2, 0.4, 0.9], [0.1, 0.5, 0.8])
-    b2 = batch([0.9, 0.2, 0.4], [0.8, 0.1, 0.5])
-    assert tr.mae(b1) == tr.mae(b2)
+    r1 = tr.metrics_report([0.2, 0.4, 0.9], [0.1, 0.5, 0.8])
+    r2 = tr.metrics_report([0.9, 0.2, 0.4], [0.8, 0.1, 0.5])
+    assert r1["mae"] == r2["mae"]
 
 
 def test_late_fraction_examples():
-    assert tr.late_fraction(batch([0.1, 0.2], [0.5, 0.6])) == 0.0
-    assert tr.late_fraction(batch([0.6, 0.4], [0.5, 0.5])) == 0.5
+    assert tr.metrics_report([0.1, 0.2], [0.5, 0.6])["late_fraction"] == 0.0
+    assert tr.metrics_report([0.6, 0.4], [0.5, 0.5])["late_fraction"] == 0.5
 
 
 def test_late_early_tie_partition():
-    b = batch([0.6, 0.4, 0.5], [0.5, 0.5, 0.5])
-    late = tr.late_fraction(b)
-    early = float(np.mean(b.errors < 0))
-    ties = float(np.mean(b.errors == 0))
+    b = [0.6, 0.4, 0.5], [0.5, 0.5, 0.5]
+    late = tr.metrics_report(*b)["late_fraction"]
+    early = float(np.mean(errors(*b) < 0))
+    ties = float(np.mean(errors(*b) == 0))
     assert late + early + ties == 1.0
 
 
 def test_metrics_report_keys():
-    report = tr.metrics_report(batch([0.5, 0.6], [0.5, 0.5]))
-    assert set(report) == {"n", "mae", "score_sum", "score_mean", "late_fraction"}
+    terms = tr.score_terms(errors([0.5, 0.6], [0.5, 0.5]))
+    assert tr.metrics_report([0.5, 0.6], [0.5, 0.5]) == {
+        "n": 2, "mae": pytest.approx(0.05), "score_sum": float(terms.sum()),
+        "score_mean": float(terms.mean()), "late_fraction": 0.5}
 
 
 # --- Adam ---
@@ -266,11 +255,11 @@ PAPER_DEPTHS = dataclasses.replace(md.paper_config(), embed_dim_base=16,
 def test_backward_reaches_every_parameter(cfg):
     params = md.init_params(cfg, seed=0)
     rng = np.random.default_rng(4)
-    hor, ver = rng.random((2, 2, 1, cfg.input_side, cfg.input_side))
+    samples = random_records(2, rng)
     labels = rng.random(2)
 
     def backward():
-        preds = md.forward_batch(params, cfg, hor, ver, training=True, rng=5)
+        preds = md.forward_batch(params, samples, training=True, rng=5)
         ad.backward(tr.loss_node(preds, labels, tr.LossConfig()))
 
     for tensor in params.tensors.values():
@@ -290,7 +279,7 @@ def test_two_train_steps_hold_one_graph_at_a_time():
     cfg, tcfg = md.desk_config(), tr.TrainConfig()
     params = md.init_params(cfg, seed=0)
     rng = np.random.default_rng(6)
-    hor, ver = rng.random((2, 8, 1, cfg.input_side, cfg.input_side))
+    samples = random_records(8, rng)
     labels = rng.random(8)
     state = tr.AdamState(params.flat.size)
     params.zero_grad()
@@ -298,7 +287,7 @@ def test_two_train_steps_hold_one_graph_at_a_time():
     try:
         base = tracemalloc.get_traced_memory()[0]
         for step in range(2):
-            preds = md.forward_batch(params, cfg, hor, ver, training=True, rng=step)
+            preds = md.forward_batch(params, samples, training=True, rng=step)
             loss = tr.loss_node(preds, labels, tr.LossConfig())
             if step == 0:
                 graph = tracemalloc.get_traced_memory()[0] - base
@@ -371,11 +360,12 @@ GOLDEN_SEEDED_DESK_PREDICTIONS = \
     "6c5abc2c0b160aa143003e4d99d851915c36c39fa74c5a247a12f398e1537e19"
 
 
-def test_predict_batch_matches_golden_hash():
+def test_predict_batch_matches_golden_hash(monkeypatch):
     cfg = md.desk_config()
     params = md.init_params(cfg, seed=7)
     params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
-    preds = md.predict_batch(params, cfg, tiny_dataset(12), batch_size=5)
+    monkeypatch.setattr(md, "PREDICT_CHUNK", 5)
+    preds = md.predict_batch(params, tiny_dataset(12))
     assert preds.shape == (12,) and np.unique(preds).size == 12
     digest = hashlib.sha256(preds.astype("<f8").tobytes()).hexdigest()
     assert digest == GOLDEN_SEEDED_DESK_PREDICTIONS
