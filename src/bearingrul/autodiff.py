@@ -16,7 +16,8 @@ end of the walk. A leaf used by several ops thus gets (G + g1) + g2, not
 G + (g1 + g2); from zeroed grads the two give the same bits, signed zeros
 included. Inside
 `with no_grad():` nothing is recorded, so an inference pass keeps no
-closures or inputs alive.
+closures or inputs alive, and the ops whose backward reads a 1-byte mask
+(relu, maxpool2d) do not build it.
 Broadcasting is supported for the elementwise ops (gradients are summed
 back over broadcast axes); matmul requires explicit shapes beyond the
 weight-matrix and equal-batch cases. linear(x, w, b) is x @ w + b as one
@@ -24,7 +25,6 @@ graph node, with the bias added in place.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GraphReleased,
@@ -231,7 +231,19 @@ def mul(a, b):
 
 
 def relu(a):
+    """np.where(a > 0, a, 0.0) bit for bit; the graph keeps a 1-byte mask.
+
+    Unrecorded, it skips the mask: fmax(a, 0) turns every NaN and negative
+    into 0 and may keep -0.0, which the in-place + 0.0 makes +0.0. That
+    matches the formula for every input but a signalling NaN, which no
+    arithmetic op produces and for which numpy's fmax gives 0 or NaN
+    depending on its SIMD lane.
+    """
     a = _wrap(a)
+    if not _taped((a,)):
+        out = np.fmax(a.data, 0.0)
+        out += 0.0
+        return Tensor(out)
     mask = a.data > 0
     return _result(_keep(mask, a.data), (a,), lambda g: (_keep(mask, g),))
 
@@ -358,9 +370,9 @@ def gather_rows(table, index):
 
 def softmax(a, axis: int = -1):
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)  # exp and division in place on the shifted copy
+    s /= s.sum(axis=axis, keepdims=True)
     return _result(s, (a,),
                    lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
@@ -382,7 +394,9 @@ def layer_norm(a, gamma, beta):
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
         return (dx, (g * xhat).sum(axis=sum_axes), g.sum(axis=sum_axes))
 
-    return _result(xhat * gamma.data + beta.data, (a, gamma, beta), vjp)
+    out = xhat * gd
+    out += beta.data
+    return _result(out, (a, gamma, beta), vjp)
 
 
 def dropout(a, p: float, training: bool, rng=None):
@@ -406,7 +420,11 @@ def conv2d(x, w, b):
     """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters plus bias.
 
     Stride and zero padding are fixed at 1; with kh = kw = 3 the spatial
-    dimensions are preserved.
+    dimensions are preserved. The (N, Ho, Wo, C, kh, kw) im2col is a zeroed
+    array that kh*kw clipped slice copies of the channels-last input fill,
+    so no padded input or window view is made; its product with the
+    contiguous (C*kh*kw, F) filter matrix gives an (N, Ho, Wo, F) output,
+    returned as its (N, F, Ho, Wo) view.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -417,17 +435,22 @@ def conv2d(x, w, b):
         raise ShapeMismatch(f"input has {c} channels, weights expect {cw}")
     if b.data.shape != (f,):
         raise ShapeMismatch(f"bias must have shape ({f},)")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     ho, wo = h + 3 - kh, wd + 3 - kw
-    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n, ho * wo, c * kh * kw)
+    xl = x.data.transpose(0, 2, 3, 1)
+    cols = np.zeros((n, ho, wo, c, kh, kw))
+    for u in range(kh):  # output (i, j) reads input (i + u - 1, j + v - 1)
+        i0, i1 = max(0, 1 - u), min(ho, h + 1 - u)
+        for v in range(kw):
+            j0, j1 = max(0, 1 - v), min(wo, wd + 1 - v)
+            cols[:, i0:i1, j0:j1, :, u, v] = xl[:, i0 + u - 1:i1 + u - 1,
+                                                j0 + v - 1:j1 + v - 1]
+    cols = cols.reshape(n, ho * wo, c * kh * kw)
     wmat = w.data.reshape(f, -1)
-    out = cols @ wmat.T
+    out = cols @ np.ascontiguousarray(wmat.T)
     out += b.data  # in place: `+ b` would hold a second (N, H*W, F) array
     out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
-    # backward reads cols and wmat, not xp or the output
-    xp_shape, w_shape, x_grad = xp.shape, w.data.shape, x.requires_grad
+    # backward reads cols and wmat, not the input or the output
+    w_shape, x_grad = w.data.shape, x.requires_grad
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, ho * wo, f)
@@ -436,7 +459,7 @@ def conv2d(x, w, b):
         dx = None
         if x_grad:
             dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
-            dxp = np.zeros(xp_shape)
+            dxp = np.zeros((n, c, h + 2, wd + 2))  # the zero-padded input's shape
             for u in range(kh):
                 for v in range(kw):
                     dxp[:, :, u:u + ho, v:v + wo] += dcols[:, :, :, :, u, v].transpose(

@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -38,13 +39,50 @@ PREDICT_CHUNK = 16
 _PREDICT_THREADS = 2
 
 
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where the OS cannot say.
+# Where _cpu_quota looks: this process's cgroup lines, and the cgroup mount.
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 
-    A cgroup CPU quota is not read."""
+
+def _read_quota(*files) -> int | None:
+    """ceil(quota / period) from files reading "quota period" together;
+    None for "max", a quota of -1, or a missing or unreadable file."""
+    try:
+        quota, period = map(int, " ".join(f.read_text() for f in files).split()[:2])
+    except (OSError, ValueError):  # "max", or fewer than two fields
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _cpu_quota() -> int | None:
+    """CPUs the cgroup CPU quota of this process allows, rounded up; None
+    without one. Reads cgroup v2's cpu.max, then v1's cpu.cfs_quota_us and
+    cpu.cfs_period_us, under the process's own path in /proc/self/cgroup."""
+    try:
+        lines = _PROC_CGROUP.read_text().splitlines()
+    except OSError:
+        return None
+    v2 = v1 = None
+    for line in lines:  # "hierarchy-id:controllers:path"
+        _, controllers, path = line.split(":", 2)
+        rel = path.lstrip("/")
+        if not controllers:
+            v2 = _read_quota(_CGROUP_ROOT / rel / "cpu.max")
+        elif "cpu" in controllers.split(","):
+            folder = _CGROUP_ROOT / controllers / rel
+            v1 = _read_quota(folder / "cpu.cfs_quota_us", folder / "cpu.cfs_period_us")
+    return v1 if v2 is None else v2
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask, or fewer if its cgroup CPU
+    quota allows fewer (1.5 CPUs of quota count as 2); 1 where the OS
+    cannot say."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 @dataclass(frozen=True)
@@ -438,12 +476,15 @@ def prepare_images(images, input_side: int) -> np.ndarray:
     Max (not mean) pooling: wavelet-packet pixels oscillate around
     mid-gray, so averaging neighbors cancels the very texture that
     carries subband energy, while the block maximum keeps its envelope.
+    The maxima are taken in the images' own dtype (float32 for records) and
+    widened once at the end: widening is exact and keeps the order, so the
+    bits are those of pooling the widened images.
     """
-    x = np.asarray(images, dtype=np.float64)[:, None, :, :]
+    x = np.asarray(images)[:, None, :, :]
     factor = x.shape[-1] // input_side  # 1, 2 or 4 (ModelConfig: S is 64, 32 or 16)
     for _ in range(factor.bit_length() - 1):  # log2(factor) strided 2x2 maxes
         _, x = ad._max_2x2(x)
-    return x
+    return np.asarray(x, dtype=np.float64)
 
 
 def forward_batch(params: ModelParams, records, training: bool = False,
@@ -517,4 +558,4 @@ def predict_batch(params: ModelParams, samples) -> np.ndarray:
                 except BaseException:
                     pool.shutdown(cancel_futures=True)
                     raise
-    return np.concatenate(preds)
+    return np.concatenate(preds) if preds else np.empty(0)

@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import bearingrul.autodiff as ad
 from bearingrul.autodiff import Tensor
@@ -353,10 +354,11 @@ NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0ABC, 0xFFF0_0000_0000_0001],
                        dtype=np.uint64).view(np.float64)
 
 
-def _special_values(rng, shape):
+def _special_values(rng, shape, signalling=True):
     """Random picks of NaNs (payloads included), infinities, signed zeros,
-    subnormals and normals."""
-    pool = np.concatenate([SPECIAL, NAN_PAYLOAD, rng.normal(size=8)])
+    subnormals and normals; without the signalling NaN if not signalling."""
+    payloads = NAN_PAYLOAD if signalling else NAN_PAYLOAD[:1]
+    pool = np.concatenate([SPECIAL, payloads, rng.normal(size=8)])
     return pool[rng.integers(0, pool.size, size=shape)]
 
 
@@ -376,6 +378,10 @@ def test_keep_is_where_bit_for_bit_on_every_layout():
 
 
 def test_relu_matches_where_formula_bit_for_bit():
+    """Recorded, and unrecorded under no_grad, where relu is fmax(x, 0) + 0.0.
+
+    The unrecorded inputs leave out the signalling NaN: no arithmetic op
+    makes one, and numpy's fmax gives 0 or NaN for it by SIMD lane."""
     rng = np.random.default_rng(32)
     x = _special_values(rng, (4, 7, 9))
     g = _special_values(rng, (4, 7, 9))
@@ -384,6 +390,59 @@ def test_relu_matches_where_formula_bit_for_bit():
         _same_bytes(out.data, np.where(data > 0, data, 0.0))
         (dx,) = out._vjp(grad)
         _same_bytes(dx, np.where(data > 0, grad, 0.0))
+    quiet = _special_values(rng, (4, 7, 9), signalling=False)
+    # fmax keeps some -0.0 outside its SIMD loop, as on a short all -0.0 run
+    for data in (quiet, quiet.transpose(2, 0, 1), np.full(7, -0.0)):
+        with ad.no_grad():
+            out = ad.relu(t(data))
+        assert out._node is None
+        _same_bytes(out.data, np.where(data > 0, data, 0.0))
+
+
+def _conv2d_im2col_oracle(x, w, b, g):
+    """conv2d's output and (dx, dw, db) for g, through the np.pad and
+    sliding_window_view im2col it used to build."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ho, wo = h + 3 - kh, wd + 3 - kw
+    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n, ho * wo, c * kh * kw)
+    wmat = w.reshape(f, -1)
+    out = cols @ wmat.T
+    out += b
+    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, ho * wo, f)
+    dw = (g2.reshape(-1, f).T @ cols.reshape(-1, c * kh * kw)).reshape(w.shape)
+    db = g2.sum(axis=(0, 1))
+    dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros(xp.shape)
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, :, u:u + ho, v:v + wo] += dcols[:, :, :, :, u, v].transpose(
+                0, 3, 1, 2)
+    return out, dxp[:, :, 1:1 + h, 1:1 + wd], dw, db
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 16])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("side", [2, 5, 32])
+def test_conv2d_matches_padded_im2col_bit_for_bit(n, c, side):
+    """Both input layouts, with NaNs, infinities, signed zeros and
+    subnormals among the pixels, against the padded im2col it replaced."""
+    rng = np.random.default_rng(100 * n + 10 * c + side)
+    base = _special_values(rng, (n, side, side, c))
+    w, b = rng.normal(size=(32, c, 3, 3)), rng.normal(size=32)
+    g = rng.normal(size=(n, side, side, 32)).transpose(0, 3, 1, 2)
+    for xd in (np.ascontiguousarray(base.transpose(0, 3, 1, 2)),  # contiguous
+               base.transpose(0, 3, 1, 2)):                       # channels-last
+        with np.errstate(all="ignore"):  # the 1.797e308 pixels overflow
+            want = _conv2d_im2col_oracle(xd, w, b, g)
+            out = ad.conv2d(t(xd), t(w), t(b))
+            got = (out.data, *out._vjp(g))
+        for a, e in zip(got, want):
+            _same_bytes(a, e)
 
 
 def _maxpool_where_oracle(x, g):

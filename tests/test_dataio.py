@@ -321,8 +321,9 @@ def test_a_worker_that_ends_without_a_result_is_an_error():
         dataio._in_slices(0, 4, 2, work)
 
 
-def test_process_count_follows_lines_and_cpus(monkeypatch):
+def test_process_count_follows_lines_and_cpus(tmp_path, monkeypatch):
     """One process per 10 240 lines, at most one per CPU."""
+    monkeypatch.setattr(md, "_PROC_CGROUP", tmp_path / "no_cgroup")  # no quota
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     counts = [dataio._process_count(n) for n in (0, 20_479, 20_480, 512_000)]
     assert counts == [1, 1, 2, 8]

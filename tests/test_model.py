@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import bearingrul.autodiff as ad
-from bearingrul import features as ft, model as md
+from bearingrul import dataio, features as ft, model as md
 from bearingrul.autodiff import Tensor
 from bearingrul.errors import ConfigMismatch, IndivisibleGrid, OddGrid
 from gradcheck import check_op
@@ -324,12 +325,20 @@ def test_prepare_images_block_max():
     assert out.shape == (1, 1, 32, 32)
     assert out[0, 0, 0, 0] == 1.0
     assert out.sum() == 1.0
-    imgs = np.random.default_rng(11).random((3, 64, 64)).astype(np.float32)
-    for side in (16, 32):
+    rng = np.random.default_rng(11)
+    imgs = rng.random((4, 64, 64)).astype(np.float32)
+    imgs[2:] = rng.choice(np.float32([0.0, -0.0, 0.5]), size=(2, 64, 64))  # ties
+    for side in (16, 32, 64):
         f = 64 // side
-        blocks = imgs.astype(np.float64).reshape(3, side, f, side, f)
-        assert np.array_equal(md.prepare_images(list(imgs), side)[:, 0],
-                              blocks.max(axis=(2, 4)))
+        blocks = imgs.astype(np.float64).reshape(4, side, f, side, f)
+        out = md.prepare_images(list(imgs), side)
+        assert np.array_equal(out[:, 0], blocks.max(axis=(2, 4)))
+        # the bytes of pooling the widened images, signed zeros included
+        wide = imgs.astype(np.float64)[:, None]
+        for _ in range(f.bit_length() - 1):
+            _, wide = ad._max_2x2(wide)
+        assert out.dtype == np.float64 and out.tobytes() == wide.tobytes()
+        assert np.signbit(out[2:]).any() and (out[2:] == 0).any()
 
 
 def test_prepare_images_native_side_passthrough():
@@ -344,6 +353,12 @@ def test_predict_batch_matches_forward(desk):
     preds = md.predict_batch(params, samples)
     singles = [forward_one(samples, i, params) for i in range(len(samples))]
     np.testing.assert_allclose(preds, singles, atol=1e-12)
+
+
+def test_predict_batch_of_no_records_is_empty(desk):
+    _, params = desk
+    preds = md.predict_batch(params, random_records(1, np.random.default_rng(13))[:0])
+    assert preds.shape == (0,) and preds.dtype == np.float64
 
 
 def test_predict_batch_chunks_of_16_match_chunks_of_64(monkeypatch):
@@ -475,6 +490,77 @@ def test_predict_batch_threads_raise_the_first_failing_chunk(perturbed,
             md.predict_batch(params, marked)
         assert ad.no_grad.recording
         assert threading.active_count() == before
+
+
+def fake_cgroup(tmp_path, monkeypatch, lines, files, cpus=8):
+    """Point _cpu_quota at a /proc/self/cgroup of `lines` and a cgroup
+    mount holding `files` ({relative path: text}), with `cpus` in the mask."""
+    proc = tmp_path / "self_cgroup"
+    proc.write_text("".join(line + "\n" for line in lines))
+    root = tmp_path / "cgroup"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    monkeypatch.setattr(md, "_PROC_CGROUP", proc)
+    monkeypatch.setattr(md, "_CGROUP_ROOT", root)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+V1_LINES = ["3:cpuset:/", "2:cpu,cpuacct:/job", "1:name=systemd:/job", "0::/"]
+
+
+def v1_files(quota, period="100000"):
+    return {"cpu,cpuacct/job/cpu.cfs_quota_us": quota + "\n",
+            "cpu,cpuacct/job/cpu.cfs_period_us": period + "\n"}
+
+
+@pytest.mark.parametrize("lines, files, usable", [
+    (["0::/job"], {"job/cpu.max": "200000 100000\n"}, 2),      # v2
+    (["0::/job"], {"job/cpu.max": "150000 100000\n"}, 2),      # 1.5 CPUs
+    (["0::/job"], {"job/cpu.max": "max 100000\n"}, 8),         # unlimited
+    (["0::/"], {"cpu.max": "100000 100000\n"}, 1),            # root cgroup
+    (["0::/job"], {"job/cpu.max": "1600000 100000\n"}, 8),     # above the mask
+    (V1_LINES, v1_files("300000"), 3),                         # v1
+    (V1_LINES, v1_files("50000"), 1),                          # half a CPU
+    (V1_LINES, v1_files("-1"), 8),                             # unlimited
+    (V1_LINES, {}, 8),                                         # no files
+    (V1_LINES, v1_files("three"), 8),                          # unreadable
+    (V1_LINES, v1_files("300000", period=""), 8),              # no period
+    (["2:cpu:/job", "0::/job"], {"cpu/job/cpu.cfs_quota_us": "100000\n",
+                                 "cpu/job/cpu.cfs_period_us": "100000\n"}, 1),
+])
+def test_usable_cpus_reads_the_cgroup_quota(tmp_path, monkeypatch, lines, files,
+                                            usable):
+    """min(affinity mask, ceil(quota / period)), from cgroup v2's cpu.max
+    or v1's cfs files under the process's own cgroup path."""
+    fake_cgroup(tmp_path, monkeypatch, lines, files)
+    assert md._usable_cpus() == usable
+
+
+def test_usable_cpus_without_a_cgroup_file(tmp_path, monkeypatch):
+    fake_cgroup(tmp_path, monkeypatch, [], {}, cpus=3)
+    monkeypatch.setattr(md, "_PROC_CGROUP", tmp_path / "missing")
+    assert md._usable_cpus() == 3
+
+
+def test_quota_below_the_mask_sizes_threads_and_workers(tmp_path, monkeypatch,
+                                                        perturbed):
+    """A quota of one CPU under a mask of 8 runs predict_batch inline and
+    ingest in this process."""
+    _, params, samples = perturbed
+    fake_cgroup(tmp_path, monkeypatch, ["0::/job"],
+                {"job/cpu.max": "100000 100000\n"})
+    assert dataio._process_count(512_000) == 1
+    ran_on = set()
+    real = md.forward_batch
+
+    def spy(*args, **kwargs):
+        ran_on.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(md, "forward_batch", spy)
+    md.predict_batch(params, samples[:37])
+    assert ran_on == {threading.main_thread()}
 
 
 def test_dropout_seed_changes_training_output():
