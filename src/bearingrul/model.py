@@ -15,6 +15,7 @@ so a mismatched (input side, window, depths) combination fails fast. The
 
 import contextvars
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -192,8 +193,7 @@ class ModelParams:
         self.flat = flat
         self.grad = None
         self.init_seed = init_seed
-        self.tensors = {n: Tensor(v, requires_grad=True)
-                        for n, v in _views(flat, param_layout(cfg))}
+        self.tensors = {n: Tensor(v, requires_grad=True) for n, v in _views(flat, cfg)}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -202,17 +202,16 @@ class ModelParams:
         """Zero `grad`, laid out like `flat`, and point each .grad at its slice."""
         if self.grad is None:  # the first call; inference never makes one
             self.grad = np.empty_like(self.flat)
-            self._grad_views = _views(self.grad, param_layout(self.cfg))
+            self._grad_views = _views(self.grad, self.cfg)
         self.grad.fill(0.0)
         for name, view in self._grad_views:
             self.tensors[name].grad = view
 
 
-def _views(vector: np.ndarray, layout: tuple):
-    """(name, view) per entry of a param_layout, splitting `vector` in order."""
-    ends = np.cumsum([int(np.prod(shape)) for _, shape in layout])[:-1]
-    return [(name, part.reshape(shape))
-            for (name, shape), part in zip(layout, np.split(vector, ends))]
+def _views(vector: np.ndarray, cfg: ModelConfig):
+    """(name, view) per entry of param_layout(cfg), slicing `vector` in order."""
+    return [(name, vector[start:stop].reshape(shape))
+            for name, start, stop, shape in _param_table(cfg)]
 
 
 @lru_cache(maxsize=8)
@@ -266,8 +265,18 @@ def param_layout(cfg: ModelConfig) -> tuple:
     return tuple((name, shapes[name]) for name in sorted(shapes))
 
 
+@lru_cache(maxsize=8)
+def _param_table(cfg: ModelConfig) -> tuple:
+    """(name, start, stop, shape) per param_layout entry: its slice of flat."""
+    table, stop = [], 0
+    for name, shape in param_layout(cfg):
+        start, stop = stop, stop + math.prod(shape)
+        table.append((name, start, stop, shape))
+    return tuple(table)
+
+
 def expected_param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in expected_shapes(cfg).values())
+    return _param_table(cfg)[-1][2]
 
 
 def _trunc_normal(rng, shape, std=0.02):
@@ -493,7 +502,11 @@ def forward_batch(params: ModelParams, records, training: bool = False,
     through prepare_images; returns predictions (N,).
 
     With training=False (dropout off) the output is a pure function of the
-    records and parameters. Predictions are not clamped to [0, 1].
+    records and parameters, and each record's prediction a function of that
+    record alone, bit for bit: every op runs one BLAS product or reduction
+    per record (or per attention window of one), never one whose row count
+    is the batch size. So the head pools to (N, 1, C) and runs one (1, K) @ (K, M)
+    product per record. Predictions are not clamped to [0, 1].
     """
     cfg = params.cfg
     validate_params(params)
@@ -511,7 +524,8 @@ def forward_batch(params: ModelParams, records, training: bool = False,
         if i < 3:
             tokens = patch_merging(tokens, params, f"merge{i}")
     side = cfg.stage_side(3)
-    pooled = ad.mean(ad.reshape(tokens, (n, side * side, cfg.final_dim)), axis=1)
+    pooled = ad.mean(ad.reshape(tokens, (n, side * side, cfg.final_dim)), axis=1,
+                     keepdims=True)
 
     h = ad.relu(_linear(pooled, params, "head.fc1"))
     h = ad.dropout(h, cfg.dropout_p, training, rng)
@@ -524,38 +538,45 @@ def forward_batch(params: ModelParams, records, training: bool = False,
 def predict_batch(params: ModelParams, samples) -> np.ndarray:
     """Deterministic (dropout-off) predictions for SAMPLE_DTYPE records.
 
-    Runs under autodiff.no_grad, so no graph is recorded, in chunks of
-    PREDICT_CHUNK samples. The chunk size can move a prediction's last
-    bits: test_predict_batch_chunks_of_16_match_chunks_of_64 pins equal
-    bits for perturbed initial weights only, and on trained desk weights
-    chunks of 64 changed 1 of 97 predictions (ROADMAP item 11).
+    Runs under autodiff.no_grad, so no graph is recorded. A record's
+    prediction does not depend on the records beside it (forward_batch),
+    so the chunks are sized for speed alone: ceil(n / PREDICT_CHUNK) of
+    them, that count rounded up to a multiple of the thread count but at
+    most n, with sizes as equal as can be. 20 records run as 10 + 10 on two
+    threads, and no chunk exceeds PREDICT_CHUNK.
 
     Chunks are independent forward passes, and numpy releases the GIL in
     BLAS and its loops, so they run on min(_PREDICT_THREADS, usable CPUs,
-    chunks) threads, inline when that is 1. The boundaries and so the bits
-    do not depend on the count. Only this thread enters no_grad, whose flag
-    is process-wide: a worker leaving it could turn recording back on under
-    the other. Each chunk runs in a copy of this thread's context, which
-    carries numpy's errstate. The first failing chunk's exception is raised,
-    as a serial loop would raise it, and the chunks not yet begun are
-    dropped. The pool lives for one call, so no thread outlives it into a
-    later fork (dataio._in_slices).
+    chunks) threads, inline when that is 1. Only this thread enters
+    no_grad, whose flag is process-wide: a worker leaving it could turn
+    recording back on under the other. Each chunk runs in a copy of this
+    thread's context, which carries numpy's errstate. The first failing
+    chunk's exception is raised, as a serial loop would raise it, and the
+    chunks not yet begun are dropped. The pool lives for one call, so no
+    thread outlives it into a later fork (dataio._in_slices).
     """
-    def chunk_preds(start: int) -> np.ndarray:
-        return forward_batch(params, samples[start:start + PREDICT_CHUNK]).data
+    n = len(samples)
+    if not n:
+        return np.empty(0)
+    threads = min(_PREDICT_THREADS, _usable_cpus())
+    chunks = -(-n // PREDICT_CHUNK)
+    chunks = min(n, -(-chunks // threads) * threads)
+    bounds = [n * k // chunks for k in range(chunks + 1)]
+    threads = min(threads, chunks)
 
-    starts = range(0, len(samples), PREDICT_CHUNK)
-    threads = min(_PREDICT_THREADS, _usable_cpus(), len(starts))
+    def chunk_preds(k: int) -> np.ndarray:
+        return forward_batch(params, samples[bounds[k]:bounds[k + 1]]).data
+
     with ad.no_grad():
         if threads <= 1:
-            preds = [chunk_preds(start) for start in starts]
+            preds = [chunk_preds(k) for k in range(chunks)]
         else:
             with ThreadPoolExecutor(threads) as pool:
                 futures = [pool.submit(contextvars.copy_context().run,
-                                       chunk_preds, start) for start in starts]
+                                       chunk_preds, k) for k in range(chunks)]
                 try:
                     preds = [f.result() for f in futures]
                 except BaseException:
                     pool.shutdown(cancel_futures=True)
                     raise
-    return np.concatenate(preds) if preds else np.empty(0)
+    return np.concatenate(preds)

@@ -361,24 +361,6 @@ def test_predict_batch_of_no_records_is_empty(desk):
     assert preds.shape == (0,) and preds.dtype == np.float64
 
 
-def test_predict_batch_chunks_of_16_match_chunks_of_64(monkeypatch):
-    """The default chunk of 16 gives the bits that chunks of 64 gave.
-
-    Not every chunk size does: with OpenBLAS, chunks of 1, 3 or 33 move
-    the last bit of some predictions.
-    """
-    cfg = md.desk_config()
-    params = md.init_params(cfg, seed=7)
-    params.flat += np.random.default_rng(11).normal(0.0, 0.05, params.flat.size)
-    samples = random_records(37, np.random.default_rng(15))
-    preds = md.predict_batch(params, samples)
-    assert md.PREDICT_CHUNK == 16 and np.unique(preds).size == len(samples)
-    for size in (64, 32, 20):
-        monkeypatch.setattr(md, "PREDICT_CHUNK", size)
-        chunked = md.predict_batch(params, samples)
-        assert chunked.tobytes() == preds.tobytes()
-
-
 def test_predict_batch_records_no_graph(desk, monkeypatch):
     _, params = desk
     samples = random_records(3, np.random.default_rng(14))
@@ -413,12 +395,36 @@ def force_threads(monkeypatch, count):
     monkeypatch.setattr(md, "_usable_cpus", lambda: count)
 
 
+def test_predict_batch_gives_each_record_its_own_bits(perturbed, monkeypatch):
+    """A record's prediction has the bytes of a forward pass over that
+    record alone, whatever chunks it runs in (PREDICT_CHUNK 1 to 64, one
+    chunk of up to 65), and whatever records are beside it (permuted,
+    truncated)."""
+    _, params, samples = perturbed
+    n = len(samples)
+    alone = np.array([forward_one(samples, i, params) for i in range(n)])
+    assert np.unique(alone).size == n
+    force_threads(monkeypatch, 1)
+    layouts = set()  # one thread: ceil(n / size) chunks, so sizes can share one
+    for size in range(1, 65):
+        if -(-n // size) not in layouts:
+            layouts.add(-(-n // size))
+            monkeypatch.setattr(md, "PREDICT_CHUNK", size)
+            assert md.predict_batch(params, samples).tobytes() == alone.tobytes(), size
+    monkeypatch.setattr(md, "PREDICT_CHUNK", n)
+    for m in (1, 2, 17, 40, 64, 65):
+        assert md.predict_batch(params, samples[:m]).tobytes() == alone[:m].tobytes()
+    monkeypatch.undo()
+    order = np.random.default_rng(17).permutation(n)
+    assert md.predict_batch(params, samples[order]).tobytes() == alone[order].tobytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
                                                     threads):
-    """Any thread count gives the bytes of one forward pass per 16-sample
-    chunk, run one after another on this thread, also with threads
-    switched as often as the interpreter allows."""
+    """Any thread count gives the bytes of one forward pass per record, run
+    one after another on this thread, also with threads switched as often
+    as the interpreter allows; two or more records run on a pool."""
     _, params, samples = perturbed
     ran_on = set()
     real = md.forward_batch
@@ -427,11 +433,8 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
         ran_on.add(threading.current_thread())
         return real(*args, **kwargs)
 
-    def serial(chunks):
-        return np.concatenate([real(params, c).data for c in chunks])
-
-    for n in (1, 15, 16, 17, 37, 65):
-        oracle = serial(samples[i:min(i + 16, n)] for i in range(0, n, 16))
+    oracle = np.array([forward_one(samples, i, params) for i in range(len(samples))])
+    for n in (1, 2, 15, 16, 17, 37, 65):
         force_threads(monkeypatch, threads)
         monkeypatch.setattr(md, "forward_batch", spy)
         ran_on.clear()
@@ -442,8 +445,8 @@ def test_predict_batch_threads_keep_the_serial_bits(perturbed, monkeypatch,
         finally:
             sys.setswitchinterval(interval)
             monkeypatch.undo()
-        assert preds.tobytes() == oracle.tobytes()
-        pooled = threads > 1 and n > 16
+        assert preds.tobytes() == oracle[:n].tobytes()
+        pooled = threads > 1 and n > 1
         assert (threading.main_thread() in ran_on) != pooled
 
 
@@ -470,23 +473,24 @@ def test_predict_batch_threads_raise_the_first_failing_chunk(perturbed,
     """A failing chunk raises what the serial loop raises, the first failure
     in chunk order, and leaves recording on and no thread running."""
     _, params, samples = perturbed
-    marked = samples[:37].copy()  # chunks of 16, 16 and 5
-    marked["hor"][:, 0, 0] = np.repeat([10, 11, 12], [16, 16, 5])
+    marked = samples[:37].copy()
+    marked["hor"][:, 0, 0] = np.arange(37)  # records 10 and 30 fail
     real = md.forward_batch
 
-    def fail_chunks_1_and_2(params, records, **kwargs):
-        chunk = round(records["hor"][0, 0, 0]) - 10
-        if chunk == 1:  # the first failing chunk fails last
+    def fail_records_10_and_30(params, records, **kwargs):
+        marks = np.round(records["hor"][:, 0, 0])
+        if 10 in marks:  # the first failing chunk fails last
             time.sleep(0.2)
-        if chunk:
-            raise ValueError(f"chunk {chunk} failed")
+            raise ValueError("record 10 failed")
+        if 30 in marks:
+            raise ValueError("record 30 failed")
         return real(params, records, **kwargs)
 
-    monkeypatch.setattr(md, "forward_batch", fail_chunks_1_and_2)
+    monkeypatch.setattr(md, "forward_batch", fail_records_10_and_30)
     for threads in (1, 2):
         force_threads(monkeypatch, threads)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="^chunk 1 failed$"):
+        with pytest.raises(ValueError, match="^record 10 failed$"):
             md.predict_batch(params, marked)
         assert ad.no_grad.recording
         assert threading.active_count() == before

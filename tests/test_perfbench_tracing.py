@@ -47,12 +47,14 @@ def test_tracer_spans_a_forward_pass_and_restores_every_original():
             *(f"model.patch_merging.merge{i}" for i in range(3))} <= set(tracer.calls)
 
 
-def test_predict_chunk_spans_its_image_preparation_inside_the_forward_pass():
-    """An inline predict_batch chunk (16 samples or fewer, so no second
-    thread) prepares both images of its records inside forward_batch: two
+def test_predict_chunk_spans_its_image_preparation_inside_the_forward_pass(
+        monkeypatch):
+    """An inline predict_batch chunk (one thread, so one chunk of 16)
+    prepares both images of its records inside forward_batch: two
     prepare_images spans nest in each forward_batch span, and the forward
     pass's self time leaves their time out."""
     tracing = load_tracing()
+    monkeypatch.setattr(md, "_PREDICT_THREADS", 1)
     params = md.init_params(md.desk_config(), seed=0)
     tracer = tracing.Tracer()
     tracer.install()

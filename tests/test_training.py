@@ -337,11 +337,11 @@ def test_train_seeded_runs_identical():
         assert np.array_equal(p1[name].data, p2[name].data)
 
 
-# sha256 of every trained parameter's <f8 bytes in sorted-name order, recorded
-# before parameters moved into one flat vector; any change to init draws, the
-# forward/backward numerics or the Adam update order moves it
+# sha256 of every trained parameter's <f8 bytes in sorted-name order; any
+# change to init draws, the forward/backward numerics or the Adam update order
+# moves it. Re-recorded when the head began one product per record.
 GOLDEN_SEEDED_DESK_RUN = \
-    "c60b6c77ab4fb4ef894045ed9b7f46fa9fe6e481e8ac688211e540296e2e4f82"
+    "ac40671665d2a1a723314110919c0dd25ab02a644b5a728ebc3a0165b02323fc"
 
 
 def test_train_seeded_run_matches_golden_hash():
@@ -354,10 +354,10 @@ def test_train_seeded_run_matches_golden_hash():
 
 
 # sha256 of predict_batch's <f8 output for jittered seeded desk params on
-# tiny_dataset(12), in chunks of 5; recorded before the stem pooled before its
-# ReLU and inference stopped recording a graph
+# tiny_dataset(12), in chunks of at most 5; re-recorded when the head began one
+# product per record, which made the bytes independent of the chunks
 GOLDEN_SEEDED_DESK_PREDICTIONS = \
-    "6c5abc2c0b160aa143003e4d99d851915c36c39fa74c5a247a12f398e1537e19"
+    "59a2cce6ae45bcabeb0bf851dc2c354d926f79829a2e51c3c69d54d47e38fe33"
 
 
 def test_predict_batch_matches_golden_hash(monkeypatch):
