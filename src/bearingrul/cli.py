@@ -50,10 +50,6 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -81,7 +77,7 @@ def cmd_synth(cfg, out: Path):
         tone_freq_high=cfg["tone_high"], bearing_id=name)
     record = dataio.gen_synthetic(scfg)
     dataio.save_record_csvdir(record, out / name)
-    _write_json(out / "record_summary.json", _record_summary(record))
+    dataio.write_json(out / "record_summary.json", _record_summary(record))
     return []
 
 
@@ -114,7 +110,7 @@ def _load_record(cfg):
 
 def cmd_ingest(cfg, out: Path):
     record = _load_record(cfg)
-    _write_json(out / "record_summary.json", _record_summary(record))
+    dataio.write_json(out / "record_summary.json", _record_summary(record))
     return [cfg["input"]]
 
 
@@ -130,7 +126,7 @@ def cmd_fpt(cfg, out: Path):
     baseline, mu, sigma, lo, hi = features.healthy_band(series, fcfg)
     _write_text(out / "kurtosis.csv",
                 _csv(enumerate(series.tolist()), ("snapshot", "kurtosis")))
-    _write_json(out / "fpt.json", {
+    dataio.write_json(out / "fpt.json", {
         "fpt": fpt, "channel": channel, "baseline_count": baseline,
         "mu": mu, "sigma": sigma, "band": [lo, hi],
         "consecutive_required": cfg["consecutive"],
@@ -225,7 +221,7 @@ def _evaluate(cfg):
 
 
 def cmd_eval(cfg, out: Path):
-    _write_json(out / "metrics.json", training.metrics_report(*_evaluate(cfg)))
+    dataio.write_json(out / "metrics.json", training.metrics_report(*_evaluate(cfg)))
     return [cfg["dataset"], cfg["checkpoint"]]
 
 
@@ -264,7 +260,7 @@ def cmd_exp_loss(cfg, out: Path):
     report["delta"] = {k: report["custom"][k] - report["mse"][k]
                        for k in ("mae", "score_mean", "late_fraction")}
     report["lambda"] = cfg["lam"]
-    _write_json(out / "exp_loss.json", report)
+    dataio.write_json(out / "exp_loss.json", report)
     return [cfg["dataset"]]
 
 
@@ -470,7 +466,7 @@ def execute(command: str, cfg: dict, outdir) -> None:
         stage = Path(tmp)
         inputs = spec.body(cfg, stage)
         artifacts = sorted(p.name for p in stage.iterdir())
-        _write_json(stage / "manifest.json", {
+        dataio.write_json(stage / "manifest.json", {
             "command": command, "tool_version": __version__, "config": cfg,
             "inputs": [str(i) for i in inputs], "outdir": str(outdir),
             "artifacts": artifacts,

@@ -10,7 +10,7 @@ Dataset (.bin):
     per sample    hor pixels f32[h*w], ver pixels f32[h*w], label f32,
                   packed as one features.SAMPLE_DTYPE record (h = w = 64)
 The container alone is the dataset: load_dataset returns its records as a
-read-only view and reads nothing else. Beside it, save_dataset writes a JSON
+read-only array and reads nothing else. Beside it, save_dataset writes a JSON
 sidecar at <path>.json holding exactly bearing_id, fpt and the featurization
 config, for people and tools; no command reads it back.
 
@@ -19,14 +19,15 @@ Checkpoint (.ckpt):
     u32           version (currently 1)
     u64           header length in bytes
     header        JSON: model config, init seed, parameter manifest
-                  (name + shape per entry, in model.param_layout order)
+                  (name + shape per model.param_layout row, in its order)
     blob          f64[P]: ModelParams.flat, the P parameters in manifest order
 
 load_checkpoint returns the ModelParams, which carry the header's config,
 only if the header parses, the config is valid, the init seed is an
 integer, the manifest equals that config's layout and the blob holds
-exactly P finite values; anything else is a CorruptContainer.
-Both containers round-trip bit-exactly.
+exactly P finite values; anything else is a CorruptContainer. Each length a
+header declares is checked against the file's size before anything that long
+is read; each payload is read once (_container); both round-trip bit-exactly.
 """
 
 import io
@@ -38,6 +39,7 @@ import re
 import signal
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -482,8 +484,41 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
 
 
 # ---------------------------------------------------------------------------
-# Dataset container
+# Containers
 # ---------------------------------------------------------------------------
+
+def write_json(path, obj) -> None:
+    """obj in the package's one JSON format: indent 2, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8", newline="\n")
+
+
+@contextmanager
+def _container(path, fixed: struct.Struct, magic: bytes, version: int, kind: str):
+    """The container, opened once: (file, its size, the fields of its fixed
+    header after the magic and version), once those two are checked."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe: its size is known once it is read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        raw = fh.read(fixed.size)
+        if len(raw) < fixed.size:
+            raise CorruptContainer(f"{path}: too small for a {kind} header")
+        found, found_version, *fields = fixed.unpack(raw)
+        if found != magic:
+            raise CorruptContainer(f"{path}: bad magic {found!r}")
+        if found_version != version:
+            raise VersionMismatch(f"{path}: version {found_version}, expected {version}")
+        yield fh, size, fields
+
+
+def _read_into(fh, path: Path, out):
+    """out, filled by one read from fh; a short read is a CorruptContainer."""
+    if fh.readinto(out) != memoryview(out).nbytes:
+        raise CorruptContainer(f"{path}: shorter than its checked size")
+    return out
+
 
 def save_dataset(records, path, bearing_id: str = "", fpt=None, config: dict = None):
     """Check SAMPLE_DTYPE records, then write the container and its sidecar."""
@@ -493,42 +528,31 @@ def save_dataset(records, path, bearing_id: str = "", fpt=None, config: dict = N
         fh.write(DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records),
                                      IMAGE_SIDE, IMAGE_SIDE))
         fh.write(np.ascontiguousarray(records, dtype=SAMPLE_DTYPE))
-    sidecar = {"bearing_id": bearing_id, "fpt": fpt, "config": config or {}}
-    with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(path) + ".json",
+               {"bearing_id": bearing_id, "fpt": fpt, "config": config or {}})
     return path
 
 
 def load_dataset(path) -> np.ndarray:
-    """The container's checked SAMPLE_DTYPE records, a read-only view of its
-    bytes; the sidecar is not read."""
+    """The container's checked SAMPLE_DTYPE records, read once into a
+    read-only array; the sidecar is not read."""
     path = Path(path)
-    blob = path.read_bytes()
-    head = DATASET_HEADER.size
-    if len(blob) < head:
-        raise CorruptContainer(f"{path}: too small for a dataset header")
-    magic, version, count, h, w = DATASET_HEADER.unpack_from(blob)
-    if magic != DATASET_MAGIC:
-        raise CorruptContainer(f"{path}: bad magic {magic!r}")
-    if version != DATASET_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {DATASET_VERSION}")
-    size = head + count * 4 * (2 * h * w + 1)  # Python ints: huge h, w cannot wrap
-    if len(blob) != size:
-        raise CorruptContainer(f"{path}: expected {size} bytes, got {len(blob)}")
-    if (h, w) != (IMAGE_SIDE, IMAGE_SIDE):
-        raise InvalidSample(f"{path}: images are {h}x{w}, not {IMAGE_SIDE}x{IMAGE_SIDE}")
-    return check_samples(np.frombuffer(blob, SAMPLE_DTYPE, count, head))
+    with _container(path, DATASET_HEADER, DATASET_MAGIC, DATASET_VERSION,
+                    "dataset") as (fh, size, (count, h, w)):
+        expected = DATASET_HEADER.size + count * 4 * (2 * h * w + 1)
+        if size != expected:
+            raise CorruptContainer(f"{path}: expected {expected} bytes, got {size}")
+        if (h, w) != (IMAGE_SIDE, IMAGE_SIDE):
+            raise InvalidSample(f"{path}: images are {h}x{w}, not {IMAGE_SIDE}x{IMAGE_SIDE}")
+        records = _read_into(fh, path, np.empty(count, SAMPLE_DTYPE))
+    records.flags.writeable = False
+    return check_samples(records)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint container
-# ---------------------------------------------------------------------------
 
 def _manifest(cfg: ModelConfig) -> list:
-    """The header's parameter manifest: name and shape in flat order."""
+    """The header's parameter manifest: name and shape per param_layout row."""
     return [{"name": name, "shape": list(shape)}
-            for name, shape in param_layout(cfg)]
+            for name, _, _, shape in param_layout(cfg)]
 
 
 def save_checkpoint(params: ModelParams, path):
@@ -546,39 +570,34 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path):
-    """The checkpoint's ModelParams, trainable tensors over its config."""
+    """The checkpoint's ModelParams, trainable tensors over its config. The
+    blob is read once, into the vector that becomes ModelParams.flat."""
     path = Path(path)
-    blob = path.read_bytes()
-    head = CHECKPOINT_HEADER.size
-    if len(blob) < head:
-        raise CorruptContainer(f"{path}: too small for a checkpoint header")
-    magic, version, hlen = CHECKPOINT_HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise CorruptContainer(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
-            f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    if len(blob) < head + hlen:
-        raise CorruptContainer(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[head:head + hlen].decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
-        layout_matches = header["manifest"] == _manifest(cfg)
-        init_seed = header["init_seed"]
-        if type(init_seed) is not int:
-            raise TypeError(f"init_seed must be an integer, not {init_seed!r}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptContainer(
-            f"{path}: bad header: {type(exc).__name__}: {exc}") from None
-    if not layout_matches:
-        raise CorruptContainer(
-            f"{path}: parameter manifest does not match the config's layout")
-    count = expected_param_count(cfg)
-    if len(blob) != head + hlen + 8 * count:
-        raise CorruptContainer(f"{path}: {len(blob) - head - hlen} data bytes, "
-                               f"expected {8 * count} for {count} parameters")
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=head + hlen)
-    bad = np.count_nonzero(~np.isfinite(flat))
+    with _container(path, CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    "checkpoint") as (fh, size, (hlen,)):
+        if size < CHECKPOINT_HEADER.size + hlen:
+            raise CorruptContainer(f"{path}: truncated header")
+        raw = _read_into(fh, path, bytearray(hlen))
+        try:
+            header = json.loads(raw.decode("utf-8"))
+            cfg = ModelConfig.from_dict(header["config"])
+            layout_matches = header["manifest"] == _manifest(cfg)
+            init_seed = header["init_seed"]
+            if type(init_seed) is not int:
+                raise TypeError(f"init_seed must be an integer, not {init_seed!r}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptContainer(
+                f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+        if not layout_matches:
+            raise CorruptContainer(
+                f"{path}: parameter manifest does not match the config's layout")
+        count = expected_param_count(cfg)
+        if size - fh.tell() != 8 * count:
+            raise CorruptContainer(f"{path}: {size - fh.tell()} data bytes, "
+                                   f"expected {8 * count} for {count} parameters")
+        # A writable float64 vector: astype copies only on a big-endian host.
+        flat = _read_into(fh, path, np.empty(count, "<f8")).astype(np.float64, copy=False)
+    bad = count - np.count_nonzero(np.isfinite(flat))
     if bad:
         raise CorruptContainer(f"{path}: {bad} non-finite parameter values")
-    return ModelParams(cfg, flat.astype(np.float64), init_seed)
+    return ModelParams(cfg, flat, init_seed)

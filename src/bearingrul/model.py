@@ -209,74 +209,58 @@ class ModelParams:
 
 
 def _views(vector: np.ndarray, cfg: ModelConfig):
-    """(name, view) per entry of param_layout(cfg), slicing `vector` in order."""
+    """(name, view) per row of param_layout(cfg), slicing `vector`."""
     return [(name, vector[start:stop].reshape(shape))
-            for name, start, stop, shape in _param_table(cfg)]
+            for name, start, stop, shape in param_layout(cfg)]
 
 
-@lru_cache(maxsize=8)
 def expected_shapes(cfg: ModelConfig) -> dict:
-    """Name -> shape map for every learnable tensor, derived from the config."""
+    """Name -> shape map for every learnable tensor, derived from the config,
+    in the order init_params draws them."""
     cc, c = cfg.conv_channels, cfg.embed_dim_base
     shapes = {}
+
+    def linear(name, fan_in, fan_out):  # the weight, then the bias
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+
     for ch in ("hor", "ver"):
-        shapes[f"stem.{ch}.w"] = (cc, 1, 3, 3)
-        shapes[f"stem.{ch}.b"] = (cc,)
-    shapes["embed.w"] = (2 * cc, c)
-    shapes["embed.b"] = (c,)
+        shapes[f"stem.{ch}.w"], shapes[f"stem.{ch}.b"] = (cc, 1, 3, 3), (cc,)
+    linear("embed", 2 * cc, c)
     for i in range(4):
         dim = cfg.stage_dim(i)
-        win = cfg.stage_window(i)
         hidden = int(dim * cfg.mlp_ratio)
         for j in range(cfg.depths[i]):
             p = f"stage{i}.block{j}"
-            shapes[f"{p}.norm1.g"] = (dim,)
-            shapes[f"{p}.norm1.b"] = (dim,)
+            shapes[f"{p}.norm1.g"] = shapes[f"{p}.norm1.b"] = (dim,)
             for proj in ("q", "k", "v", "proj"):
-                shapes[f"{p}.attn.{proj}.w"] = (dim, dim)
-                shapes[f"{p}.attn.{proj}.b"] = (dim,)
-            shapes[f"{p}.attn.relpos"] = ((2 * win - 1) ** 2, cfg.heads[i])
-            shapes[f"{p}.norm2.g"] = (dim,)
-            shapes[f"{p}.norm2.b"] = (dim,)
-            shapes[f"{p}.mlp.fc1.w"] = (dim, hidden)
-            shapes[f"{p}.mlp.fc1.b"] = (hidden,)
-            shapes[f"{p}.mlp.fc2.w"] = (hidden, dim)
-            shapes[f"{p}.mlp.fc2.b"] = (dim,)
+                linear(f"{p}.attn.{proj}", dim, dim)
+            shapes[f"{p}.attn.relpos"] = ((2 * cfg.stage_window(i) - 1) ** 2, cfg.heads[i])
+            shapes[f"{p}.norm2.g"] = shapes[f"{p}.norm2.b"] = (dim,)
+            linear(f"{p}.mlp.fc1", dim, hidden)
+            linear(f"{p}.mlp.fc2", hidden, dim)
         if i < 3:
             shapes[f"merge{i}.w"] = (4 * dim, 2 * dim)
-    d = cfg.final_dim
     h1, h2 = cfg.head_hidden
-    shapes["head.fc1.w"] = (d, h1)
-    shapes["head.fc1.b"] = (h1,)
-    shapes["head.fc2.w"] = (h1, h2)
-    shapes["head.fc2.b"] = (h2,)
-    shapes["head.out.w"] = (h2, 1)
-    shapes["head.out.b"] = (1,)
+    linear("head.fc1", cfg.final_dim, h1)
+    linear("head.fc2", h1, h2)
+    linear("head.out", h2, 1)
     return shapes
 
 
 @lru_cache(maxsize=8)
 def param_layout(cfg: ModelConfig) -> tuple:
-    """(name, shape) per learnable tensor in the order of ModelParams.flat.
-
-    Sorted by name: the order of the checkpoint manifest.
-    """
-    shapes = expected_shapes(cfg)
-    return tuple((name, shapes[name]) for name in sorted(shapes))
-
-
-@lru_cache(maxsize=8)
-def _param_table(cfg: ModelConfig) -> tuple:
-    """(name, start, stop, shape) per param_layout entry: its slice of flat."""
-    table, stop = [], 0
-    for name, shape in param_layout(cfg):
-        start, stop = stop, stop + math.prod(shape)
-        table.append((name, start, stop, shape))
+    """(name, start, stop, shape) per learnable tensor, sorted by name: its
+    slice of ModelParams.flat. The one layout table, and the checkpoint
+    manifest's order."""
+    shapes, table, stop = expected_shapes(cfg), [], 0
+    for name in sorted(shapes):
+        start, stop = stop, stop + math.prod(shapes[name])
+        table.append((name, start, stop, shapes[name]))
     return tuple(table)
 
 
 def expected_param_count(cfg: ModelConfig) -> int:
-    return _param_table(cfg)[-1][2]
+    return param_layout(cfg)[-1][2]
 
 
 def _trunc_normal(rng, shape, std=0.02):

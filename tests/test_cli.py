@@ -620,12 +620,8 @@ def test_non_finite_checkpoint_parameter_exits_three(name, value, dataset_path,
     blob = bytearray(checkpoint_path.read_bytes())
     _, _, hlen = dataio.CHECKPOINT_HEADER.unpack_from(blob)
     cfg = dataio.load_checkpoint(checkpoint_path).cfg
-    offset = 16 + hlen
-    for entry, shape in md.param_layout(cfg):
-        if entry == name:
-            break
-        offset += 8 * int(np.prod(shape))
-    struct.pack_into("<d", blob, offset, value)
+    start = next(row[1] for row in md.param_layout(cfg) if row[0] == name)
+    struct.pack_into("<d", blob, 16 + hlen + 8 * start, value)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(blob))
     out = tmp_path / "out"
@@ -633,6 +629,60 @@ def test_non_finite_checkpoint_parameter_exits_three(name, value, dataset_path,
                    str(bad), "--outdir", str(out))
     err = _assert_one_line_failure(capsys, code, 3, out)
     assert err.startswith("CorruptContainer:")
+
+
+def _checkpoint_version_2(dataset, checkpoint):
+    struct.pack_into("<I", checkpoint, 4, 2)
+    return "VersionMismatch: {checkpoint}: version 2, expected 1"
+
+
+def _data_byte(delta):
+    def edit(dataset, checkpoint):
+        _, _, hlen = dataio.CHECKPOINT_HEADER.unpack_from(checkpoint)
+        data = len(checkpoint) - 16 - hlen
+        checkpoint[len(checkpoint):] = bytes(max(delta, 0))
+        del checkpoint[len(checkpoint) + min(delta, 0):]
+        return (f"CorruptContainer: {{checkpoint}}: {data + delta} data bytes, "
+                f"expected {data} for {data // 8} parameters")
+    return edit
+
+
+def _header_length(hlen):
+    def edit(dataset, checkpoint):
+        struct.pack_into("<Q", checkpoint, 8, hlen)
+        return "CorruptContainer: {checkpoint}: truncated header"
+    return edit
+
+
+def _dataset_count(dataset, checkpoint):
+    count = 2**32 - 1
+    struct.pack_into("<I", dataset, 8, count)
+    return (f"CorruptContainer: {{dataset}}: expected "
+            f"{20 + count * 4 * (2 * 64 * 64 + 1)} bytes, got {len(dataset)}")
+
+
+@pytest.mark.parametrize("edit", [
+    _checkpoint_version_2, _data_byte(1), _data_byte(-1), _header_length(2**62),
+    _header_length(2**63), _header_length(2**64 - 1), _dataset_count],
+    ids=["version-2", "one-data-byte-more", "one-data-byte-less", "hlen-2**62",
+         "hlen-2**63", "hlen-2**64-1", "count-2**32-1"])
+def test_container_length_that_disagrees_with_its_file_exits_three(
+        edit, dataset_path, checkpoint_path, tmp_path, capsys):
+    """Each length a container declares is checked against its file's size
+    before it is read or allocated, so a huge one is one CorruptContainer
+    line (exit 3), not an OverflowError or MemoryError (exit 1). The outdir
+    is left empty: no metrics.json, manifest.json or .stage-* folder."""
+    dataset = bytearray(dataset_path.read_bytes())
+    checkpoint = bytearray(checkpoint_path.read_bytes())
+    line = edit(dataset, checkpoint)
+    paths = {"dataset": tmp_path / "dataset.bin", "checkpoint": tmp_path / "bad.ckpt"}
+    paths["dataset"].write_bytes(dataset)
+    paths["checkpoint"].write_bytes(checkpoint)
+    out = tmp_path / "out"
+    code = run_cli("eval", "--dataset", str(paths["dataset"]), "--checkpoint",
+                   str(paths["checkpoint"]), "--outdir", str(out))
+    err = _assert_one_line_failure(capsys, code, 3, out)
+    assert err == line.format(**paths) + "\n"
 
 
 def _config_file(tmp_path, values):

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import struct
+import threading
 import time
 import tracemalloc
 import warnings
@@ -745,6 +746,40 @@ def test_checkpoint_preserves_forward_outputs(tmp_path):
     dataio.save_checkpoint(params, path)
     after = md.forward_batch(dataio.load_checkpoint(path), samples).data
     assert np.array_equal(before, after)
+
+
+def test_checkpoint_blob_is_read_once_into_a_writable_flat_vector(tmp_path):
+    """load_checkpoint reads the blob straight into ModelParams.flat: its
+    tracemalloc peak stays below 1.5x the vector. Reading the file into
+    bytes and then copying them to float64 peaks at about 2x."""
+    path = dataio.save_checkpoint(md.init_params(md.desk_config(), seed=0),
+                                  tmp_path / "model.ckpt")
+    loaded, peak = _traced_peak(lambda: dataio.load_checkpoint(path))
+    assert loaded.flat.dtype == np.float64 and loaded.flat.flags.writeable
+    md.validate_params(loaded)
+    assert peak < 1.5 * loaded.flat.nbytes, peak / loaded.flat.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_containers_load_from_a_pipe(tmp_path):
+    """A pipe, as in `--dataset <(...)`, has no size until it is read whole;
+    then it loads as its file does."""
+    samples = make_samples(3)
+    params = md.init_params(md.desk_config(), seed=5)
+    saved = [dataio.save_dataset(samples, tmp_path / "data.bin"),
+             dataio.save_checkpoint(params, tmp_path / "model.ckpt")]
+    loaded = []
+    for path, load in zip(saved, (dataio.load_dataset, dataio.load_checkpoint)):
+        fifo = tmp_path / f"{path.name}.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            loaded.append(load(fifo))
+        finally:
+            writer.join()
+    assert loaded[0].tobytes() == samples.tobytes()
+    assert np.array_equal(loaded[1].flat, params.flat)
 
 
 def test_save_checkpoint_rejects_a_rebound_tensor(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -99,10 +100,14 @@ def test_init_is_seeded():
 
 def test_params_view_one_flat_vector_in_sorted_name_order(desk):
     cfg, params = desk
-    names = sorted(md.expected_shapes(cfg))
+    shapes = md.expected_shapes(cfg)
+    names = sorted(shapes)
     assert list(params.tensors) == names
-    assert md.param_layout(cfg) == tuple(
-        (n, md.expected_shapes(cfg)[n]) for n in names)
+    stop = 0
+    for row, name in zip(md.param_layout(cfg), names, strict=True):
+        assert row == (name, stop, stop + math.prod(shapes[name]), shapes[name])
+        stop = row[2]
+    assert stop == md.expected_param_count(cfg) == params.flat.size
     assert np.array_equal(
         np.concatenate([params[n].data for n in names], axis=None), params.flat)
     fresh = md.init_params(cfg, seed=1)
@@ -117,7 +122,7 @@ def test_zero_grad_views_one_gradient_vector():
     params.zero_grad()
     grad = params.grad
     assert grad.shape == params.flat.shape and not grad.any()
-    for name, shape in md.param_layout(cfg):
+    for name, _, _, shape in md.param_layout(cfg):
         assert params[name].grad.shape == shape
         assert params[name].grad.base is grad
     grad[-1] = 7.0
