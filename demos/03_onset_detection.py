@@ -14,15 +14,12 @@ cfg = dataio.SyntheticConfig(n_snapshots=100, samples_per_snapshot=2560,
 record = dataio.gen_synthetic(cfg)
 series = ft.kurtosis_series(record)
 
-fcfg = ft.FptConfig()
-baseline = fcfg.resolve_baseline(series.size)
-mu = series[:baseline].mean()
-sigma = series[:baseline].std(ddof=1)
-fpt = ft.detect_fpt(series, fcfg)
+baseline, mu, sigma, lo, hi = ft.healthy_band(series, ft.FptConfig())
+fpt = ft.detect_fpt(series)
 
 print(f"healthy baseline: first {baseline} snapshots, "
       f"mu={mu:.3f}, sigma={sigma:.3f}")
-print(f"band: [{mu - 3 * sigma:.3f}, {mu + 3 * sigma:.3f}]")
+print(f"band: [{lo:.3f}, {hi:.3f}]")
 print(f"true onset: {cfg.fault_onset_index}   detected FPT: {fpt}")
 
 print("\nkurtosis around the onset:")

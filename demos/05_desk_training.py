@@ -26,9 +26,9 @@ print(f"training on {len(train_set)} windows, holding out {len(held_out)}")
 model_cfg = md.desk_config()
 print("desk model parameters:", f"{md.expected_param_count(model_cfg):,}")
 
-train_cfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30, seed=0)
-params, history = tr.train(train_set, model_cfg, train_cfg,
-                           tr.LossConfig(kind="mse"))
+train_cfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30, seed=0,
+                           lam=0.0)  # lambda 0: plain MSE
+params, history = tr.train(train_set, model_cfg, train_cfg)
 for stats in history[::6] + [history[-1]]:
     print(f"  epoch {stats.epoch:3d}  train loss {stats.train_loss:.4f}")
 

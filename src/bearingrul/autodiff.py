@@ -410,8 +410,7 @@ def dropout(a, p: float, training: bool, rng=None):
         raise InvalidProbability(f"dropout p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return _result(a.data, (a,), lambda g: (g,))
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
     return _result(a.data * keep, (a,), lambda g: (g * keep,))
 

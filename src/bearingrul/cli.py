@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,15 +188,18 @@ def _training_setup(cfg, split: str):
     mcfg = model.config_from_preset(cfg["preset"])
     tcfg = training.TrainConfig(learning_rate=cfg["lr"],
                                 batch_size=cfg["batch_size"],
-                                epochs=cfg["epochs"], seed=cfg["seed"])
+                                epochs=cfg["epochs"], seed=cfg["seed"],
+                                lam=cfg["lam"])
     return train_set, val_set, mcfg, tcfg
 
 
 def cmd_train(cfg, out: Path):
     train_set, val_set, mcfg, tcfg = _training_setup(cfg, "val_fraction")
-    lcfg = training.LossConfig(kind=cfg["loss"], lam=cfg["lam"])
-    params, history = training.train(train_set, mcfg, tcfg, lcfg,
-                                     val_dataset=val_set)
+    if cfg["loss"] == "mse":  # MSE is the custom loss at lambda 0
+        tcfg = replace(tcfg, lam=0.0)
+    elif cfg["loss"] != "custom":
+        raise InvalidConfig(f"unknown loss kind {cfg['loss']!r}")
+    params, history = training.train(train_set, mcfg, tcfg, val_dataset=val_set)
     dataio.save_checkpoint(params, out / "checkpoint.ckpt")
     _write_text(out / "history.csv", _csv(
         [(h.epoch, h.train_loss, "" if h.val_mae is None else repr(h.val_mae))
@@ -240,7 +244,7 @@ def cmd_predict(cfg, out: Path):
 
 
 def cmd_exp_loss(cfg, out: Path):
-    """Twin training: identical data and seed, MSE vs hinge-penalized loss."""
+    """Twin training: identical data and seed, MSE (lambda 0) vs --lam."""
     if cfg["holdout"] == 0:
         raise InvalidConfig(
             f"--holdout {cfg['holdout']} must be nonzero for exp-loss")
@@ -249,9 +253,8 @@ def cmd_exp_loss(cfg, out: Path):
         raise DataError(f"--holdout {cfg['holdout']} held out no samples")
     targets = val_set["label"]
     report = {}
-    for kind in ("mse", "custom"):
-        lcfg = training.LossConfig(kind=kind, lam=cfg["lam"])
-        params, history = training.train(train_set, mcfg, tcfg, lcfg)
+    for kind, lam in (("mse", 0.0), ("custom", tcfg.lam)):
+        params, history = training.train(train_set, mcfg, replace(tcfg, lam=lam))
         preds = model.predict_batch(params, val_set)
         del params  # free this twin's weights and gradients before the next
         report[kind] = training.metrics_report(preds, targets)
@@ -330,7 +333,7 @@ COMMANDS = {
     )),
     "train": Command(cmd_train, "train a model on a labeled dataset", (
         _DATASET, _PRESET,
-        Flag("loss", str, "custom", "loss kind: custom or mse"),
+        Flag("loss", str, "custom", "loss kind: custom, or mse (lambda 0)"),
         _LAM,
         Flag("lr", float, 1e-4, "Adam learning rate"),
         Flag("batch-size", int, 16, "samples per optimizer step"),

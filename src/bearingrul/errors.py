@@ -2,8 +2,11 @@
 
 Two bases matter for the CLI exit-code contract: DataError (bad files,
 bad shapes, bad records -> exit 3) and NumericError (degenerate or
-non-finite numerics -> exit 4). Everything else is a usage bug and
-surfaces as a plain ValueError/TypeError.
+non-finite numerics -> exit 4). Every other BearingRulError is a usage
+error (exit 2): InvalidConfig and the engine's and model's misuse errors,
+such as ShapeMismatch, subclass both ValueError and BearingRulError. A
+plain ValueError or TypeError comes only from internal helpers whose
+callers translate it or that no CLI input reaches.
 """
 
 

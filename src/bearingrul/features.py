@@ -110,7 +110,7 @@ def kurtosis_series(record: BearingRecord, channel: str = "horizontal"):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FptConfig:
     """Kurtosis control-chart parameters for degradation-onset detection.
 
@@ -146,8 +146,6 @@ def healthy_band(k: np.ndarray, cfg: FptConfig):
     entries, and the band is mu -/+ sigma_multiplier * sigma.
     """
     baseline = cfg.resolve_baseline(k.size)
-    if baseline < 4:
-        raise BaselineTooShort(f"baseline_count {baseline} < 4")
     if k.size <= baseline:
         raise BaselineTooShort(
             f"series length {k.size} must exceed baseline {baseline}")
@@ -157,14 +155,12 @@ def healthy_band(k: np.ndarray, cfg: FptConfig):
             mu + cfg.sigma_multiplier * sigma)
 
 
-def detect_fpt(k, cfg: FptConfig = None):
+def detect_fpt(k, cfg: FptConfig = FptConfig()):
     """First index whose run of `consecutive_required` values leaves the band.
 
     The band is healthy_band's. Returns the first index of the exceedance
     run, or None when no qualifying run exists.
     """
-    if cfg is None:
-        cfg = FptConfig()
     k = np.asarray(k, dtype=np.float64)
     baseline, _, _, lo, hi = healthy_band(k, cfg)
     outside = (k < lo) | (k > hi)
@@ -175,15 +171,13 @@ def detect_fpt(k, cfg: FptConfig = None):
     return None
 
 
-def detect_fpt_record(record: BearingRecord, cfg: FptConfig = None):
+def detect_fpt_record(record: BearingRecord, cfg: FptConfig = FptConfig()):
     """Run detect_fpt on the record per the configured channel policy.
 
     Returns (fpt, channel, series). Policy "either" takes the earliest FPT
     over both channels, horizontal on a tie. The channel set the FPT, or is
     the policy's first when none is found; series is its kurtosis series.
     """
-    if cfg is None:
-        cfg = FptConfig()
     channels = CHANNELS if cfg.channel_policy == "either" else (cfg.channel_policy,)
     series = [kurtosis_series(record, ch) for ch in channels]
     found = [(detect_fpt(k, cfg), ch, k) for ch, k in zip(channels, series)]

@@ -5,13 +5,14 @@ The asymmetric loss adds a hinge on overestimation to plain MSE:
     L = (1/N) sum_i [ (p_i - y_i)^2 + lam * max(0, p_i - y_i) ]
 
 so late predictions (p > y) pay an extra linear penalty while early ones do
-not; at lam = 0 it reduces exactly to MSE. The scoring metric is likewise
-asymmetric: a sample with error e contributes exp(e/5) - 1 when late
-(e >= 0) and exp(-e/15) - 1 when early, i.e. a late miss costs about three
-times an equally large early one. Note the per-sample score term is
-positive for any nonzero error; when comparing models on this metric the
-convention reported alongside (sum or mean) must match. metrics_report
-computes every metric from one vector of errors, preds - targets.
+not; at lam = 0 it is exactly MSE, so MSE is trained as TrainConfig(lam=0).
+The scoring metric is likewise asymmetric: a sample with error e
+contributes exp(e/5) - 1 when late (e >= 0) and exp(-e/15) - 1 when
+early, i.e. a late miss costs about three times an equally large early
+one. Note the per-sample score term is positive for any nonzero error;
+when comparing models on this metric the convention reported alongside
+(sum or mean) must match. metrics_report computes every metric from one
+vector of errors, preds - targets.
 """
 
 import math
@@ -30,23 +31,12 @@ EARLY_RATE = 15.0   # divisor of early (negative) errors in the score
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    kind: str = "custom"       # "custom" or "mse"
-    lam: float = 1.0           # hinge weight; ignored for kind="mse"
-
-    def __post_init__(self):
-        if self.kind not in ("custom", "mse"):
-            raise InvalidConfig(f"unknown loss kind {self.kind!r}")
-        if not 0 <= self.lam < math.inf:
-            raise InvalidConfig(f"lam must be finite and >= 0, not {self.lam}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 16
     epochs: int = 100
     seed: int = 0
+    lam: float = 1.0           # hinge weight; 0 trains on plain MSE
 
     def __post_init__(self):
         if not (0 < self.learning_rate < math.inf and self.batch_size > 0):
@@ -54,14 +44,17 @@ class TrainConfig:
                                 "and batch_size positive")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidConfig(f"lam must be finite and >= 0, not {self.lam}")
 
 
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
-def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tensor:
-    """Differentiable loss on a prediction tensor.
+def loss_node(preds: ad.Tensor, targets: np.ndarray, lam: float) -> ad.Tensor:
+    """Differentiable loss on a prediction tensor: MSE plus lam times the
+    mean hinge, which is left out of the graph when lam is 0.
 
     The hinge uses relu, whose subgradient at exactly zero error is 0.
     """
@@ -69,8 +62,8 @@ def loss_node(preds: ad.Tensor, targets: np.ndarray, cfg: LossConfig) -> ad.Tens
         raise EmptyBatch("empty prediction batch")
     diff = ad.sub(preds, np.asarray(targets, dtype=np.float64))
     loss = ad.mean(ad.square(diff))
-    if cfg.kind == "custom" and cfg.lam > 0:
-        loss = ad.add(loss, ad.mul(ad.mean(ad.relu(diff)), cfg.lam))
+    if lam > 0:
+        loss = ad.add(loss, ad.mul(ad.mean(ad.relu(diff)), lam))
     return loss
 
 
@@ -146,25 +139,22 @@ class EpochStats:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(dataset, model_cfg, train_cfg: TrainConfig,
-          loss_cfg: LossConfig = LossConfig(), val_dataset=()):
+def train(dataset, model_cfg, train_cfg: TrainConfig, val_dataset=()):
     """Seeded full training run on SAMPLE_DTYPE records; returns (params,
     history), with val_dataset's MAE per epoch when it is nonempty.
 
     Per epoch: shuffle (seeded), then per batch forward (which prepares
     only that batch's images) -> loss -> backward -> Adam, so no
-    whole-dataset image array is held. A non-finite batch loss, or a
-    non-finite parameter after an epoch, aborts with DivergedLoss; numpy's
-    overflow and invalid-value warnings on the way there are silenced, so
-    the error is the only report.
+    whole-dataset image array is held. An epoch's last batch holds what is
+    left, so a batch_size above len(dataset) makes one step over all of it.
+    A non-finite batch loss, or a non-finite parameter after an epoch,
+    aborts with DivergedLoss; numpy's overflow and invalid-value warnings
+    on the way there are silenced, so the error is the only report.
     Epoch order, shuffling, dropout masks and updates are all derived from
     train_cfg.seed, so identical configs give bit-identical trajectories.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    if train_cfg.batch_size > len(dataset):
-        raise EmptyDataset(
-            f"batch_size {train_cfg.batch_size} exceeds dataset size {len(dataset)}")
     params = model_mod.init_params(model_cfg, seed=train_cfg.seed)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(
@@ -174,7 +164,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
     step = 0
     for epoch in range(train_cfg.epochs):
         order = shuffle_rng.permutation(len(dataset))
-        loss_sum, n_seen = 0.0, 0
+        loss_sum = 0.0
         for start in range(0, len(dataset), train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
             drop_rng = np.random.default_rng(np.random.SeedSequence(
@@ -182,7 +172,7 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             batch = dataset[idx]
             preds = model_mod.forward_batch(params, batch, training=True,
                                             rng=drop_rng)
-            loss = loss_node(preds, batch["label"], loss_cfg)
+            loss = loss_node(preds, batch["label"], train_cfg.lam)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}, step {step}")
@@ -190,11 +180,10 @@ def train(dataset, model_cfg, train_cfg: TrainConfig,
             ad.backward(loss)
             adam_step(params.flat, params.grad, state, train_cfg)
             loss_sum += value * idx.size
-            n_seen += idx.size
             step += 1
         if not np.isfinite(params.flat).all():
             raise DivergedLoss(f"non-finite parameters after epoch {epoch}")
-        stats = EpochStats(epoch=epoch, train_loss=loss_sum / n_seen)
+        stats = EpochStats(epoch=epoch, train_loss=loss_sum / len(dataset))
         if len(val_dataset):
             val_preds = model_mod.predict_batch(params, val_dataset)
             stats.val_mae = metrics_report(val_preds, val_dataset["label"])["mae"]

@@ -214,16 +214,15 @@ def test_criterion_6_gradcheck_everything():
         samples = np.zeros(2, ft.SAMPLE_DTYPE)
         samples["hor"], samples["ver"] = rng.random((2, 2, 64, 64))
         labels = rng.random(2)
-        loss_cfg = tr.LossConfig(kind="custom", lam=1.0)
 
         def loss_value():
             preds = md.forward_batch(params, samples, training=False)
-            return float(tr.loss_node(preds, labels, loss_cfg).data)
+            return float(tr.loss_node(preds, labels, 1.0).data)
 
         params.zero_grad()
         ad.backward(tr.loss_node(
             md.forward_batch(params, samples, training=False),
-            labels, loss_cfg))
+            labels, 1.0))
         h = 1e-5
         for name, tensor in params.tensors.items():
             idx = np.unravel_index(int(np.argmax(np.abs(tensor.grad))),
@@ -260,8 +259,9 @@ def test_criterion_7_desk_training():
         assert len(held_out) >= 12
 
         cfg = md.desk_config()
-        tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30, seed=0)
-        params, history = tr.train(train_set, cfg, tcfg, tr.LossConfig(kind="mse"))
+        tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30, seed=0,
+                              lam=0.0)
+        params, history = tr.train(train_set, cfg, tcfg)
         assert history[-1].train_loss < 0.5 * history[0].train_loss
 
         preds = md.predict_batch(params, held_out)
@@ -287,12 +287,11 @@ def test_criterion_8_late_prediction_reduction():
             train_set = samples[0::2][:48]
             held_out = samples[1::2][:24]
             targets = held_out["label"]
-            tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8, epochs=30,
-                                  seed=seed)
             late = {}
-            for kind in ("mse", "custom"):
-                params, _ = tr.train(train_set, cfg, tcfg,
-                                     tr.LossConfig(kind=kind, lam=1.0))
+            for kind, lam in (("mse", 0.0), ("custom", 1.0)):
+                tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=8,
+                                      epochs=30, seed=seed, lam=lam)
+                params, _ = tr.train(train_set, cfg, tcfg)
                 preds = md.predict_batch(params, held_out)
                 late[kind] = tr.metrics_report(preds, targets)["late_fraction"]
             observed.append(late)

@@ -2,6 +2,8 @@ import errno
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -228,6 +230,42 @@ def test_exp_loss_frees_the_first_twin_before_training_the_second(
     assert run_cli("exp-loss", "--dataset", str(dataset_path), "--outdir",
                    str(tmp_path), "--epochs", "1", "--seed", "1") == 0
     assert len(twins) == 2
+
+
+@pytest.fixture(scope="module")
+def ten_sample_dataset(dataset_path, tmp_path_factory):
+    """As many windows as the README flow's dataset: --holdout 0.25 at seed
+    0 leaves 7 of them to train on. They are the last ten, whose labels lie
+    below an untrained model's predictions, so the hinge is active."""
+    return dataio.save_dataset(dataio.load_dataset(dataset_path)[-10:],
+                               tmp_path_factory.mktemp("ten") / "dataset.bin")
+
+
+def test_batch_larger_than_the_training_set_trains(ten_sample_dataset,
+                                                   tmp_path):
+    # exp-loss's default batch is 8; each epoch is one step over all 7
+    data = str(ten_sample_dataset)
+    assert run_cli("exp-loss", "--dataset", data, "--outdir",
+                   str(tmp_path / "exp"), "--epochs", "2") == 0
+    assert run_cli("train", "--dataset", data, "--outdir",
+                   str(tmp_path / "train"), "--epochs", "2",
+                   "--val-fraction", "0.25", "--batch-size", "8") == 0
+    history = (tmp_path / "train" / "history.csv").read_text().splitlines()
+    assert len(history) == 3 and all(row.split(",")[2] for row in history[1:])
+
+
+def test_loss_mse_trains_as_lam_zero(ten_sample_dataset, tmp_path):
+    runs = {}
+    for name, loss, lam in (("mse", "mse", "0.7"), ("lam0", "custom", "0"),
+                            ("custom", "custom", "0.7")):
+        out = tmp_path / name
+        assert run_cli("train", "--dataset", str(ten_sample_dataset),
+                       "--outdir", str(out), "--epochs", "2", "--lr", "1e-3",
+                       "--batch-size", "4", "--loss", loss, "--lam", lam) == 0
+        runs[name] = [(out / artifact).read_bytes()
+                      for artifact in ("checkpoint.ckpt", "history.csv")]
+    assert runs["mse"] == runs["lam0"]
+    assert runs["custom"][0] != runs["mse"][0]
 
 
 def test_config_file_with_flag_override(record_dir, tmp_path):
@@ -926,6 +964,21 @@ def test_parser_is_built_once_and_keeps_no_values():
     first = parser.parse_args(["train", "--outdir", "o", "--epochs", "3"])
     second = parser.parse_args(["train", "--outdir", "o"])
     assert (first.epochs, second.epochs) == (3, None)
+
+
+def test_readme_commands_parse():
+    """Every `bearingrul` line of the README's code blocks parses, so a
+    renamed or removed flag fails here instead of in a reader's shell."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("bearingrul ")]
+    assert len(commands) == 9
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_help_lists_headline_defaults():

@@ -55,14 +55,14 @@ def test_mse_loss_example():
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
-        tr.loss_node(Tensor(np.zeros(0)), np.zeros(0), tr.LossConfig())
+        tr.loss_node(Tensor(np.zeros(0)), np.zeros(0), 1.0)
 
 
 def test_loss_node_matches_metric_value():
     rng = np.random.default_rng(2)
     preds = rng.normal(0.5, 0.3, size=10)
     targets = rng.random(10)
-    node = tr.loss_node(Tensor(preds), targets, tr.LossConfig(kind="custom", lam=1.3))
+    node = tr.loss_node(Tensor(preds), targets, 1.3)
     assert float(node.data) == pytest.approx(
         custom_loss(preds, targets, 1.3), rel=1e-12)
 
@@ -74,7 +74,7 @@ def test_loss_node_gradient_matches_finite_difference():
     # keep away from the hinge kink
     preds[np.abs(preds - targets) < 1e-3] += 0.01
     p = Tensor(preds, requires_grad=True)
-    ad.backward(tr.loss_node(p, targets, tr.LossConfig(kind="custom", lam=1.0)))
+    ad.backward(tr.loss_node(p, targets, 1.0))
     h = 1e-6
     for i in range(8):
         shifted = preds.copy()
@@ -86,9 +86,16 @@ def test_loss_node_gradient_matches_finite_difference():
         assert abs(p.grad[i] - num) / max(abs(num), 1e-8) < 1e-6
 
 
+def test_loss_node_at_lambda_zero_is_mse():
+    rng = np.random.default_rng(4)
+    preds, targets = rng.normal(0.5, 0.3, size=10), rng.random(10)
+    node = tr.loss_node(Tensor(preds), targets, 0.0)
+    assert float(node.data) == float(np.mean(np.square(preds - targets)))
+
+
 def test_hinge_subgradient_zero_at_tie():
     p = Tensor(np.array([0.5]), requires_grad=True)
-    ad.backward(tr.loss_node(p, np.array([0.5]), tr.LossConfig(kind="custom", lam=5.0)))
+    ad.backward(tr.loss_node(p, np.array([0.5]), 5.0))
     assert p.grad[0] == 0.0
 
 
@@ -260,7 +267,7 @@ def test_backward_reaches_every_parameter(cfg):
 
     def backward():
         preds = md.forward_batch(params, samples, training=True, rng=5)
-        ad.backward(tr.loss_node(preds, labels, tr.LossConfig()))
+        ad.backward(tr.loss_node(preds, labels, 1.0))
 
     for tensor in params.tensors.values():
         tensor.grad = None
@@ -288,7 +295,7 @@ def test_two_train_steps_hold_one_graph_at_a_time():
         base = tracemalloc.get_traced_memory()[0]
         for step in range(2):
             preds = md.forward_batch(params, samples, training=True, rng=step)
-            loss = tr.loss_node(preds, labels, tr.LossConfig())
+            loss = tr.loss_node(preds, labels, 1.0)
             if step == 0:
                 graph = tracemalloc.get_traced_memory()[0] - base
             params.zero_grad()
@@ -306,20 +313,34 @@ def test_two_train_steps_hold_one_graph_at_a_time():
 def test_train_empty_dataset():
     with pytest.raises(EmptyDataset):
         tr.train([], md.desk_config(),
-                 tr.TrainConfig(batch_size=1, epochs=1), tr.LossConfig())
+                 tr.TrainConfig(batch_size=1, epochs=1))
 
 
-def test_train_batch_larger_than_dataset():
-    with pytest.raises(EmptyDataset):
-        tr.train(tiny_dataset(4), md.desk_config(),
-                 tr.TrainConfig(batch_size=16, epochs=1), tr.LossConfig())
+def test_train_batch_larger_than_dataset(monkeypatch):
+    """A batch_size above the dataset's size makes one step per epoch over
+    every sample, bit for bit as batch_size = len(dataset) does."""
+    batches = []
+    forward = md.forward_batch
+
+    def counting_forward(params, batch, **kwargs):
+        batches.append(len(batch))
+        return forward(params, batch, **kwargs)
+
+    monkeypatch.setattr(md, "forward_batch", counting_forward)
+    dataset, cfg = tiny_dataset(4), md.desk_config()
+    big, whole = (tr.TrainConfig(learning_rate=1e-3, batch_size=b, epochs=2,
+                                 seed=1) for b in (16, 4))
+    p1, h1 = tr.train(dataset, cfg, big)
+    assert batches == [4, 4]
+    p2, h2 = tr.train(dataset, cfg, whole)
+    assert p1.flat.tobytes() == p2.flat.tobytes() and h1 == h2
 
 
 def test_train_zero_epochs_returns_init():
     dataset = tiny_dataset(6)
     cfg = md.desk_config()
     tcfg = tr.TrainConfig(batch_size=4, epochs=0, seed=9)
-    params, history = tr.train(dataset, cfg, tcfg, tr.LossConfig())
+    params, history = tr.train(dataset, cfg, tcfg)
     reference = md.init_params(cfg, seed=9)
     assert history == []
     for name in reference.tensors:
@@ -330,8 +351,8 @@ def test_train_seeded_runs_identical():
     dataset = tiny_dataset(8)
     cfg = md.desk_config()
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=5)
-    p1, h1 = tr.train(dataset, cfg, tcfg, tr.LossConfig())
-    p2, h2 = tr.train(dataset, cfg, tcfg, tr.LossConfig())
+    p1, h1 = tr.train(dataset, cfg, tcfg)
+    p2, h2 = tr.train(dataset, cfg, tcfg)
     assert [e.train_loss for e in h1] == [e.train_loss for e in h2]
     for name in p1.tensors:
         assert np.array_equal(p1[name].data, p2[name].data)
@@ -346,7 +367,7 @@ GOLDEN_SEEDED_DESK_RUN = \
 
 def test_train_seeded_run_matches_golden_hash():
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=5)
-    params, _ = tr.train(tiny_dataset(8), md.desk_config(), tcfg, tr.LossConfig())
+    params, _ = tr.train(tiny_dataset(8), md.desk_config(), tcfg)
     digest = hashlib.sha256()
     for name in sorted(params.tensors):
         digest.update(params[name].data.astype("<f8").tobytes())
@@ -374,14 +395,14 @@ def test_predict_batch_matches_golden_hash(monkeypatch):
 def test_train_loss_decreases():
     dataset = tiny_dataset(12)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=6, seed=2)
-    _, history = tr.train(dataset, md.desk_config(), tcfg, tr.LossConfig())
+    _, history = tr.train(dataset, md.desk_config(), tcfg)
     assert history[-1].train_loss < history[0].train_loss
 
 
 def test_train_records_validation_mae():
     dataset = tiny_dataset(8)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=3)
-    _, history = tr.train(dataset, md.desk_config(), tcfg, tr.LossConfig(),
+    _, history = tr.train(dataset, md.desk_config(), tcfg,
                           val_dataset=tiny_dataset(4, seed=9))
     assert all(e.val_mae is not None and np.isfinite(e.val_mae) for e in history)
 
@@ -394,7 +415,7 @@ def test_train_diverged_loss_aborts(monkeypatch):
     monkeypatch.setattr(md, "init_params", lambda cfg, seed: poisoned)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=1, seed=0)
     with np.errstate(over="ignore"), pytest.raises(DivergedLoss):
-        tr.train(dataset, cfg, tcfg, tr.LossConfig())
+        tr.train(dataset, cfg, tcfg)
 
 
 def test_train_non_finite_parameters_abort(monkeypatch):
@@ -407,25 +428,21 @@ def test_train_non_finite_parameters_abort(monkeypatch):
     monkeypatch.setattr(md, "init_params", lambda cfg, seed: poisoned)
     tcfg = tr.TrainConfig(learning_rate=1e-3, batch_size=3, epochs=1, seed=0)
     with pytest.raises(DivergedLoss, match="parameters after epoch 0"):
-        tr.train(dataset, cfg, tcfg, tr.LossConfig())
+        tr.train(dataset, cfg, tcfg)
 
 
 def test_train_divergence_raises_without_numpy_warnings():
     # pytest turns warnings into errors, so an overflow warning fails here
     tcfg = tr.TrainConfig(learning_rate=1e30, batch_size=2, epochs=3, seed=0)
     with pytest.raises(DivergedLoss):
-        tr.train(tiny_dataset(6), md.desk_config(), tcfg, tr.LossConfig(),
+        tr.train(tiny_dataset(6), md.desk_config(), tcfg,
                  val_dataset=tiny_dataset(2, seed=3))
 
 
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        tr.LossConfig(kind="huber")
-    with pytest.raises(ValueError):
-        tr.LossConfig(lam=-0.5)
-    for lam in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            tr.LossConfig(lam=lam)
+def test_train_config_lam_validation():
+    for lam in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            tr.TrainConfig(lam=lam)
 
 
 def test_train_config_validation():
