@@ -361,7 +361,11 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports its own usage errors, like every other failure, as one
-    stderr line with exit status 2. Subparsers inherit the class."""
+    stderr line with exit status 2, and matches a flag only in full, never
+    by a prefix. Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"UsageError: {message}\n")

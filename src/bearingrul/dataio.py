@@ -186,7 +186,8 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     Files are ordered by numeric suffix, then name, not by on-disk order.
     Default column layout follows the public distribution: four timestamp
     fields, then horizontal and vertical acceleration; pass hor_col/ver_col
-    for variant exports. Temperature files are ignored. Files must be
+    for variant exports. Each file fills one snapshot of the record's
+    (2, files, rows) signals. Temperature files are ignored. Files must be
     UTF-8; `,` and `;` delimiters are both read (see _parse_acc_csv). A
     large folder's files are split over forked workers (see _process_count
     and _in_slices), with the values and the first error of reading them
@@ -198,28 +199,23 @@ def load_pronostia_bearing(directory, hor_col: int = 4,
     files = sorted(root.glob("acc*.csv"), key=lambda p: (_numeric_suffix(p), p.name))
     if not files:
         raise MissingDirectory(f"no acceleration CSVs under {root}")
-    # The first file sizes the record; each row is filled in place.
-    hor, ver = _parse_acc_csv(files[0], hor_col, ver_col)
-    horizontal = np.empty((len(files), hor.size))
-    vertical = np.empty((len(files), hor.size))
-    horizontal[0], vertical[0] = hor, ver
+    # The first file sizes the record; each snapshot is filled in place.
+    head = _parse_acc_csv(files[0], hor_col, ver_col)
+    signals = np.empty((2, len(files), head.shape[1]))
+    signals[:, 0] = head
 
     def parse(first, stop):
         for i in range(first, stop):
-            hor, ver = _parse_acc_csv(files[i], hor_col, ver_col)
-            if hor.size != horizontal.shape[1]:
+            snapshot = _parse_acc_csv(files[i], hor_col, ver_col)
+            if snapshot.shape != head.shape:
                 raise InconsistentSnapshotLength(
-                    f"{files[i].name} has {hor.size} rows, "
-                    f"expected {horizontal.shape[1]}")
-            horizontal[i] = hor
-            vertical[i] = ver
+                    f"{files[i].name} has {snapshot.shape[1]} rows, "
+                    f"expected {head.shape[1]}")
+            signals[:, i] = snapshot
 
-    _in_slices(1, len(files), _process_count(horizontal.size), parse,
-               lambda first, stop: (horizontal[first:stop], vertical[first:stop]))
-    m = re.match(r"Bearing(\d+)_(\d+)", root.name)
-    return BearingRecord(horizontal=horizontal, vertical=vertical,
-                         bearing_id=root.name,
-                         condition_id=int(m.group(1)) if m else 0)
+    _in_slices(1, len(files), _process_count(signals[0].size), parse,
+               lambda first, stop: (signals[0, first:stop], signals[1, first:stop]))
+    return BearingRecord(signals, bearing_id=root.name)
 
 
 # Bytes that send a file to the line parser: `;`, because that parser picks
@@ -230,7 +226,7 @@ _LINE_PARSER_ONLY = (b";", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
-    """One snapshot file's horizontal and vertical columns.
+    """One snapshot file's horizontal and vertical columns as a (2, rows) array.
 
     The file is read once. Comma files go through numpy's C reader; a `;`
     anywhere, or a file that reader rejects, warns about or finds empty,
@@ -258,7 +254,7 @@ def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
             except (ValueError, OverflowError, Warning):
                 cols = ()
         if len(cols):
-            return cols[:, 0], cols[:, 1]
+            return cols.T
     return _parse_acc_lines(path, io.StringIO(raw.decode("utf-8"), newline=None),
                             hor_col, ver_col)
 
@@ -266,8 +262,9 @@ def _parse_acc_csv(path: Path, hor_col: int, ver_col: int):
 def _parse_acc_lines(path: Path, lines, hor_col: int, ver_col: int):
     """The line parser: each line's delimiter is `;` if it holds more `;`
     than `,`, blank lines are skipped, and the first bad line raises
-    MalformedRow with its 1-based number (0 for a file without rows)."""
-    hor, ver = [], []
+    MalformedRow with its 1-based number (0 for a file without rows); as
+    _parse_acc_csv, it returns the two columns as a (2, rows) array."""
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -275,14 +272,13 @@ def _parse_acc_lines(path: Path, lines, hor_col: int, ver_col: int):
         delim = ";" if line.count(";") > line.count(",") else ","
         parts = line.split(delim)
         try:
-            hor.append(_number(parts[hor_col]))
-            ver.append(_number(parts[ver_col]))
+            rows.append((_number(parts[hor_col]), _number(parts[ver_col])))
         except (ValueError, IndexError) as exc:
             raise MalformedRow(f"{path}:{lineno}: {exc}",
                                path=str(path), line=lineno) from exc
-    if not hor:
+    if not rows:
         raise MalformedRow(f"{path}: no data rows", path=str(path), line=0)
-    return np.array(hor), np.array(ver)
+    return np.array(rows).T
 
 
 def _number(field: str) -> float:
@@ -359,7 +355,7 @@ def save_record_csvdir(record: BearingRecord, directory):
         tenths = _Tenths()
         for i in range(first, stop):
             runs, us = _line_times(i * PRONOSTIA_PERIOD_S, offsets)
-            hor, ver = record.horizontal[i].tolist(), record.vertical[i].tolist()
+            hor, ver = record.signals[:, i].tolist()
             frac = [tenths[u] for u in us.tolist()]
             lines = []
             for a, b, prefix in runs:
@@ -372,7 +368,7 @@ def save_record_csvdir(record: BearingRecord, directory):
         for path in paths[first:stop]:
             path.unlink(missing_ok=True)
 
-    _in_slices(0, len(paths), _process_count(record.horizontal.size), write,
+    _in_slices(0, len(paths), _process_count(record.signals[0].size), write,
                undo=remove)
     return paths
 
@@ -452,13 +448,16 @@ def _gennorm_noise(rng, beta: float, size) -> np.ndarray:
     return x / math.sqrt(unit_var)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
-    """Deterministic synthetic bearing record; a pure function of cfg."""
+    """Deterministic synthetic bearing record; a pure function of cfg. An
+    overflow gives no numpy warning; the record's finite check reports it."""
     rng = np.random.default_rng(cfg.seed)
     n, m = cfg.n_snapshots, cfg.samples_per_snapshot
     beta = _gennorm_shape_for_kurtosis(cfg.healthy_kurtosis_level)
-    hor = _gennorm_noise(rng, beta, (n, m)) * cfg.noise_std
-    ver = _gennorm_noise(rng, beta, (n, m)) * cfg.noise_std
+    signals = np.empty((2, n, m))
+    for data in signals:
+        np.multiply(_gennorm_noise(rng, beta, (n, m)), cfg.noise_std, out=data)
     k = cfg.impulses_per_snapshot
     period = max(1, m // k)
     t = np.arange(m)
@@ -475,12 +474,9 @@ def gen_synthetic(cfg: SyntheticConfig) -> BearingRecord:
                 * np.sin(2.0 * np.pi * cfg.tone_freq_low * t + ph_low)
                 + cfg.tone_level * amp * q * q
                 * np.sin(2.0 * np.pi * cfg.tone_freq_high * t + ph_high))
-        hor[i, positions] += amp
-        ver[i, positions] += amp
-        hor[i] += tone
-        ver[i] += tone
-    return BearingRecord(horizontal=hor, vertical=ver,
-                         bearing_id=cfg.bearing_id)
+        signals[:, i, positions] += amp
+        signals[:, i] += tone
+    return BearingRecord(signals, bearing_id=cfg.bearing_id)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ decomposition. Degradation onset (FPT) comes from a kurtosis control chart;
 labels decay linearly from 1 at onset to 0 at failure.
 """
 
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -36,39 +37,40 @@ CHANNELS = ("horizontal", "vertical")
 class BearingRecord:
     """Chronological two-channel vibration snapshots from one bearing.
 
-    horizontal/vertical are (n_snapshots, samples_per_snapshot) arrays;
-    every snapshot shares the length. Records are sampled at the PRONOSTIA
-    rate and snapshot period (dataio.PRONOSTIA_*).
+    signals is a (2, n_snapshots, samples_per_snapshot) array, channels in
+    CHANNELS order, one snapshot per row. Records are sampled at the
+    PRONOSTIA rate and snapshot period (dataio.PRONOSTIA_*).
     """
 
-    horizontal: np.ndarray
-    vertical: np.ndarray
+    signals: np.ndarray
     bearing_id: str = ""
-    condition_id: int = 0
 
     def __post_init__(self):
-        self.horizontal = np.asarray(self.horizontal, dtype=np.float64)
-        self.vertical = np.asarray(self.vertical, dtype=np.float64)
-        if self.horizontal.ndim != 2 or self.horizontal.shape[0] < 1:
-            raise InvalidRecord("record needs at least one snapshot")
-        if self.horizontal.shape != self.vertical.shape:
-            raise InvalidRecord("channel arrays must have identical shape")
-        if not (np.all(np.isfinite(self.horizontal))
-                and np.all(np.isfinite(self.vertical))):
+        data = self.signals = np.asarray(self.signals, dtype=np.float64)
+        if data.ndim != 3 or len(data) != len(CHANNELS) or data.shape[1] < 1:
+            raise InvalidRecord(f"record of shape {data.shape}, not (2, n >= 1, m)")
+        # One channel at a time, so the check's temporary is one channel big.
+        if not all(np.isfinite(channel).all() for channel in data):
             raise InvalidRecord("record samples must be finite")
 
     @property
+    def condition_id(self) -> int:
+        """C of a PRONOSTIA-style `BearingC_B` id, else 0."""
+        m = re.match(r"Bearing(\d+)_(\d+)", self.bearing_id)
+        return int(m.group(1)) if m else 0
+
+    @property
     def n_snapshots(self) -> int:
-        return self.horizontal.shape[0]
+        return self.signals.shape[1]
 
     @property
     def samples_per_snapshot(self) -> int:
-        return self.horizontal.shape[1]
+        return self.signals.shape[2]
 
     def channel(self, name: str) -> np.ndarray:
         if name not in CHANNELS:
             raise ValueError(f"unknown channel {name!r}")
-        return self.horizontal if name == "horizontal" else self.vertical
+        return self.signals[CHANNELS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ class Window:
         return self.start + self.size - 1
 
 
-def sliding_windows(record, size: int = 10, stride: int = 5):
-    """Windows at starts 0, stride, 2*stride, ...; trailing remainder dropped."""
-    n = record.n_snapshots if isinstance(record, BearingRecord) else int(record)
+def sliding_windows(n: int, size: int = 10, stride: int = 5):
+    """Windows over n snapshots at starts 0, stride, 2*stride, ...; trailing
+    remainder dropped."""
     if size < 1 or stride < 1:
         raise InvalidConfig("size and stride must be >= 1")
     if n < size:
@@ -277,14 +279,11 @@ def preprocess_record(record: BearingRecord) -> BearingRecord:
     Wavelet soft-thresholding (universal rule) followed by Savitzky-Golay
     smoothing, per snapshot.
     """
-    cleaned = {}
-    for name in CHANNELS:
-        data = record.channel(name)
-        out = np.empty_like(data)
-        for i in range(record.n_snapshots):
-            out[i] = wavelets.savgol_filter(wavelets.wavelet_denoise(data[i]))
-        cleaned[name] = out
-    return replace(record, **cleaned)
+    data = record.signals
+    out = np.empty_like(data)
+    for c, i in np.ndindex(data.shape[:2]):  # horizontal first
+        out[c, i] = wavelets.savgol_filter(wavelets.wavelet_denoise(data[c, i]))
+    return replace(record, signals=out)
 
 
 def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
@@ -299,14 +298,15 @@ def build_dataset(record: BearingRecord, fpt: int, size: int = 10,
     labels = assign_labels(record.n_snapshots, fpt)
     if denoise:
         record = preprocess_record(record)
-    windows = [w for w in sliding_windows(record, size, stride) if w.last >= fpt]
+    windows = [w for w in sliding_windows(record.n_snapshots, size, stride)
+               if w.last >= fpt]
     if not windows:
         raise NoPostFptWindows(f"no windows end at or after fpt {fpt}")
 
-    def image(name, w):
-        signal = record.channel(name)[w.start:w.start + w.size].reshape(-1)
-        return WpdImage(wpd_image(signal, level), w)
+    def image(data, w):
+        return WpdImage(wpd_image(data[w.start:w.start + w.size].reshape(-1), level), w)
 
-    return [LabeledSample(image("horizontal", w), image("vertical", w),
+    hor, ver = record.signals
+    return [LabeledSample(image(hor, w), image(ver, w),
                           label=float(labels[w.last]))
             for w in windows]

@@ -26,7 +26,7 @@ def save_record_csvdir(record, directory):
                 m, s = divmod(rem, 60.0)
                 us = (s - math.floor(s)) * 1e6
                 fh.write(f"{int(h)},{int(m)},{int(s)},{us:.1f},"
-                         f"{float(record.horizontal[i, j])!r},"
-                         f"{float(record.vertical[i, j])!r}\n")
+                         f"{float(record.signals[0, i, j])!r},"
+                         f"{float(record.signals[1, i, j])!r}\n")
         written.append(path)
     return written

@@ -357,8 +357,7 @@ def test_criterion_10_pronostia_ingestion(tmp_path):
         assert record.n_snapshots == 3
         assert record.samples_per_snapshot == 5
         expected = np.array(values).reshape(3, 5)
-        np.testing.assert_allclose(record.horizontal, expected, atol=0)
-        np.testing.assert_allclose(record.vertical, -2.0 * expected, atol=0)
+        np.testing.assert_allclose(record.signals, [expected, -2.0 * expected], atol=0)
         assert record.condition_id == 1
 
         with pytest.raises(MissingDirectory):

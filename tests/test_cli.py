@@ -25,13 +25,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_module(*argv):
+def run_module(*argv, cwd=None):
     """`python -m bearingrul.cli` in a child process, with src/ importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "bearingrul.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,16 @@ def test_ingest_summary(record_dir, tmp_path):
     assert summary["horizontal_rms_last"] > summary["horizontal_rms_first"]
 
 
+def test_synth_and_ingest_summaries_agree_on_the_condition(record_dir, tmp_path):
+    """PRONOSTIA's BearingC_B folder runs under operating condition C."""
+    assert run_cli("ingest", "--input", str(record_dir), "--outdir",
+                   str(tmp_path)) == 0
+    synth = json.loads((record_dir.parent / "record_summary.json").read_text())
+    ingest = json.loads((tmp_path / "record_summary.json").read_text())
+    assert synth == ingest
+    assert synth["condition_id"] == 9
+
+
 def test_fpt_report(record_dir, tmp_path):
     assert run_cli("fpt", "--input", str(record_dir), "--outdir",
                    str(tmp_path)) == 0
@@ -95,8 +105,7 @@ def test_fpt_either_reports_the_channel_that_set_the_fpt(tmp_path):
     hor = rng.normal(size=(60, 512))
     ver = rng.normal(size=(60, 512))
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
-    record = ft.BearingRecord(horizontal=hor, vertical=ver)
-    dataio.save_record_csvdir(record, tmp_path / "rec")
+    dataio.save_record_csvdir(ft.BearingRecord(np.stack([hor, ver])), tmp_path / "rec")
     for channel in ("either", "vertical"):
         assert run_cli("fpt", "--input", str(tmp_path / "rec"), "--outdir",
                        str(tmp_path / channel), "--channel", channel) == 0
@@ -133,6 +142,30 @@ def test_fpt_and_featurize_read_the_columns_ingest_reads(record_dir, tmp_path):
                        "--hor-col", "0", "--ver-col", "1") == 0
         for artifact in artifacts:
             assert (wide / artifact).read_bytes() == (cols / artifact).read_bytes()
+
+
+def test_fpt_denoise_and_featurize_no_denoise_match_the_library(record_dir,
+                                                                tmp_path):
+    record = dataio.load_pronostia_bearing(record_dir)
+    assert run_cli("fpt", "--input", str(record_dir), "--outdir",
+                   str(tmp_path / "fpt"), "--denoise") == 0
+    rows = (tmp_path / "fpt" / "kurtosis.csv").read_text().splitlines()[1:]
+    want = ft.kurtosis_series(ft.preprocess_record(record))
+    assert [float(row.split(",")[1]) for row in rows] == want.tolist()
+    assert want.tolist() != ft.kurtosis_series(record).tolist()
+
+    assert run_cli("featurize", "--input", str(record_dir), "--outdir",
+                   str(tmp_path / "feat"), "--no-denoise") == 0
+    fpt, _, _ = ft.detect_fpt_record(record)
+    meta = {"window": 10, "stride": 5, "level": 3, "denoise": False}
+    (tmp_path / "want").mkdir()
+    dataio.save_dataset(
+        ft.sample_records(ft.build_dataset(record, fpt, denoise=False)),
+        tmp_path / "want" / "dataset.bin", bearing_id=record.bearing_id, fpt=fpt,
+        config=meta)
+    for name in ("dataset.bin", "dataset.bin.json"):
+        assert ((tmp_path / "feat" / name).read_bytes()
+                == (tmp_path / "want" / name).read_bytes())
 
 
 def test_manifest_without_column_keys_reruns_byte_exactly(record_dir, tmp_path):
@@ -407,13 +440,25 @@ def test_record_near_float_max_exits_four(command, tmp_path, capsys):
     moments: one NumericError line and exit 4, with no numpy warning and no
     Infinity or NaN in an artifact."""
     rng = np.random.default_rng(0)
-    hor, ver = rng.choice([-1e300, 1e300], (2, 30, 64)) * rng.random((2, 30, 64))
+    signals = rng.choice([-1e300, 1e300], (2, 30, 64)) * rng.random((2, 30, 64))
     record = tmp_path / "Bearing1_1"
-    dataio.save_record_csvdir(ft.BearingRecord(hor, ver), record)
+    dataio.save_record_csvdir(ft.BearingRecord(signals), record)
     out = tmp_path / "out"
     code = run_cli(command, "--input", str(record), "--outdir", str(out))
     err = _assert_one_line_failure(capsys, code, 4, out)
     assert err.startswith("FloatOverflow: ")
+
+
+@pytest.mark.parametrize("flag", ["growth", "noise-std", "tone-low", "tone-level"])
+def test_synth_whose_samples_overflow_exits_three_with_one_line(flag, tmp_path):
+    """numpy's overflow warnings stay off stderr; a subprocess, because the
+    test suite turns warnings into errors."""
+    out = tmp_path / "out"
+    proc = run_module("synth", "--outdir", str(out), "--snapshots", "20",
+                      "--samples", "64", "--onset", "10", f"--{flag}", "1e308")
+    assert proc.returncode == 3
+    assert proc.stderr == "InvalidRecord: record samples must be finite\n"
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_ingest_failing_in_a_workers_slice_exits_three(record_dir, tmp_path,
@@ -956,6 +1001,19 @@ def test_unknown_flag_exits_two():
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("UsageError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--outdir", "o", "--dataset", "d", "--epoch", "3", "--batch", "4"),
+    ("rerun", "manifest.json", "--out", "o"),
+    ("--vers",)], ids=["train", "rerun", "top"])
+def test_abbreviated_flag_exits_two(argv, tmp_path):
+    """A flag matches only in full: `--epoch` is not `--epochs`."""
+    proc = run_module(*argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("UsageError: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_parser_is_built_once_and_keeps_no_values():

@@ -54,8 +54,7 @@ def test_load_fixture_tree_exact(tmp_path):
     assert dataio.PRONOSTIA_SAMPLE_RATE == 25600.0
     expected = np.array([[0.1 * (f * 10 + r) for r in range(4)]
                          for f in (1, 2, 3)])
-    np.testing.assert_allclose(record.horizontal, expected, atol=0)
-    np.testing.assert_allclose(record.vertical, -expected, atol=0)
+    np.testing.assert_allclose(record.signals, [expected, -expected], atol=0)
 
 
 def test_load_orders_by_numeric_suffix(tmp_path):
@@ -65,7 +64,7 @@ def test_load_orders_by_numeric_suffix(tmp_path):
     for f in (10, 2, 1):
         (bearing / f"acc_{f}.csv").write_text(f"0,0,0,0.0,{float(f)!r},0.5\n")
     record = dataio.load_pronostia_bearing(bearing)
-    np.testing.assert_allclose(record.horizontal[:, 0], [1.0, 2.0, 10.0])
+    np.testing.assert_allclose(record.signals[0, :, 0], [1.0, 2.0, 10.0])
     assert record.condition_id == 2
 
 
@@ -82,9 +81,9 @@ def test_load_orders_equal_suffixes_by_name(tmp_path, monkeypatch):
         monkeypatch.setattr(type(bearing), "glob",
                             lambda self, pattern, order=order: iter(
                                 order(listed(self, pattern))))
-        loaded.append(dataio.load_pronostia_bearing(bearing).horizontal)
+        loaded.append(dataio.load_pronostia_bearing(bearing).signals)
     assert loaded[0].tobytes() == loaded[1].tobytes()
-    np.testing.assert_array_equal(loaded[0][:, 0], [1.0, 2.0])
+    np.testing.assert_array_equal(loaded[0][0, :, 0], [1.0, 2.0])
 
 
 def test_load_missing_directory(tmp_path):
@@ -136,7 +135,7 @@ def test_load_semicolon_delimited(tmp_path):
     bearing.mkdir()
     (bearing / "acc_00001.csv").write_text("0;0;0;0.0;1.5;-1.5\n0;0;0;39.0;2.5;-2.5\n")
     record = dataio.load_pronostia_bearing(bearing)
-    np.testing.assert_allclose(record.horizontal[0], [1.5, 2.5])
+    np.testing.assert_allclose(record.signals[:, 0], [[1.5, 2.5], [-1.5, -2.5]])
 
 
 @pytest.mark.parametrize("delim", [",", ";"], ids=["comma", "semicolon"])
@@ -166,8 +165,8 @@ def test_record_csv_roundtrip(tmp_path):
         cfg = dataio.SyntheticConfig(n_snapshots=n, samples_per_snapshot=m,
                                      fault_onset_index=1, seed=4)
         record = dataio.gen_synthetic(cfg)
-        record.horizontal[0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
-        record.vertical[-1, -2:] = (-0.0, 2.2250738585072014e-308)
+        record.signals[0, 0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
+        record.signals[1, -1, -2:] = (-0.0, 2.2250738585072014e-308)
         comma = tmp_path / f"Bearing9_{m}"
         semi = tmp_path / f"semicolon_{m}" / comma.name
         semi.mkdir(parents=True)
@@ -175,8 +174,7 @@ def test_record_csv_roundtrip(tmp_path):
             (semi / path.name).write_text(path.read_text().replace(",", ";"))
         for folder in (comma, semi):
             back = dataio.load_pronostia_bearing(folder)
-            assert back.horizontal.tobytes() == record.horizontal.tobytes()
-            assert back.vertical.tobytes() == record.vertical.tobytes()
+            assert back.signals.tobytes() == record.signals.tobytes()
 
 
 def _edge_records():
@@ -187,12 +185,11 @@ def _edge_records():
             seed=seed))
 
     rng = np.random.default_rng(7)
-    odd = ft.BearingRecord(horizontal=rng.normal(size=(1, 32000)),
-                           vertical=rng.normal(size=(1, 32000)))
+    odd = ft.BearingRecord(rng.normal(size=(2, 1, 32000)))
     specials = (0.0, -0.0, 1e-300, 5e-324, 1e16, 1e22, 123456789.125)
-    odd.horizontal[0, :7] = specials
-    odd.vertical[0, -7:] = specials
-    odd.vertical[0, 25590:25610] = -0.0
+    odd.signals[0, 0, :7] = specials
+    odd.signals[1, 0, -7:] = specials
+    odd.signals[1, 0, 25590:25610] = -0.0
     return {
         "pronostia-200x2560": synth(200, 2560, 1),
         # the hour rolls over at snapshot 360
@@ -227,7 +224,7 @@ def _memory_record():
     record = dataio.gen_synthetic(dataio.SyntheticConfig(
         n_snapshots=200, samples_per_snapshot=512, fault_onset_index=100,
         seed=5))
-    return record, record.horizontal.nbytes + record.vertical.nbytes
+    return record, record.signals.nbytes
 
 
 def test_csv_writer_holds_less_than_the_record(tmp_path):
@@ -239,14 +236,12 @@ def test_csv_writer_holds_less_than_the_record(tmp_path):
 
 
 def test_loader_holds_one_copy_of_the_record(tmp_path):
-    """Each file is parsed into its row of one preallocated array per
-    channel; a list of snapshots plus its stacked copy peaked at 2.2 times
+    """Each file is parsed into its rows of one preallocated array; a list of snapshots plus its stacked copy peaked at 2.2 times
     the record's bytes."""
     record, nbytes = _memory_record()
     dataio.save_record_csvdir(record, tmp_path)
     back, peak = _traced_peak(lambda: dataio.load_pronostia_bearing(tmp_path))
-    assert back.horizontal.tobytes() == record.horizontal.tobytes()
-    assert back.vertical.tobytes() == record.vertical.tobytes()
+    assert back.signals.tobytes() == record.signals.tobytes()
     assert peak < 1.25 * nbytes
 
 
@@ -278,7 +273,7 @@ def _written_and_read(record, folder):
     paths = dataio.save_record_csvdir(record, folder)
     back = dataio.load_pronostia_bearing(folder)
     return ([p.relative_to(folder) for p in paths], [p.read_bytes() for p in paths],
-            back.horizontal.tobytes(), back.vertical.tobytes())
+            back.signals.tobytes())
 
 
 def test_forked_workers_write_and_read_the_serial_bytes(tmp_path, processes):
@@ -287,7 +282,7 @@ def test_forked_workers_write_and_read_the_serial_bytes(tmp_path, processes):
     record = _small_record(14, 64)
     processes(1)
     serial = _written_and_read(record, tmp_path / "serial")
-    assert serial[2:] == (record.horizontal.tobytes(), record.vertical.tobytes())
+    assert serial[2] == record.signals.tobytes()
     for count in (2, 3):
         forks = processes(count)
         assert _written_and_read(record, tmp_path / str(count)) == serial
@@ -363,7 +358,7 @@ def test_workers_allocate_only_what_one_file_needs(tmp_path, processes,
     forks = processes(2)
     back, _ = _traced_peak(lambda: (dataio.save_record_csvdir(record, tmp_path / "rec"),
                                     dataio.load_pronostia_bearing(tmp_path / "rec"))[1])
-    assert back.horizontal.tobytes() == record.horizontal.tobytes()
+    assert back.signals.tobytes() == record.signals.tobytes()
     grown = [int(p.read_text()) for p in peaks.iterdir()]
     assert len(forks) == len(grown) == 2
     assert max(grown) < 0.25 * nbytes, grown
@@ -595,15 +590,14 @@ def test_synthetic_determinism():
                                  fault_onset_index=5, seed=123)
     a = dataio.gen_synthetic(cfg)
     b = dataio.gen_synthetic(cfg)
-    assert a.horizontal.tobytes() == b.horizontal.tobytes()
-    assert a.vertical.tobytes() == b.vertical.tobytes()
+    assert a.signals.tobytes() == b.signals.tobytes()
 
 
 def test_synthetic_channels_differ_but_share_schedule():
     cfg = dataio.SyntheticConfig(n_snapshots=8, samples_per_snapshot=128,
                                  fault_onset_index=2, seed=5)
     record = dataio.gen_synthetic(cfg)
-    assert not np.allclose(record.horizontal, record.vertical)
+    assert not np.allclose(*record.signals)
 
 
 def test_synthetic_onset_detected_at_full_scale():
@@ -646,7 +640,7 @@ def test_synthetic_healthy_kurtosis_shaping():
                                      fault_onset_index=1, seed=8,
                                      healthy_kurtosis_level=target)
         record = dataio.gen_synthetic(cfg)
-        measured = wv.kurtosis(record.horizontal[0])
+        measured = wv.kurtosis(record.signals[0, 0])
         assert measured == pytest.approx(target, rel=0.1)
 
 

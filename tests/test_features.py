@@ -7,24 +7,39 @@ from bearingrul import dataio, features as ft, wavelets as wv
 from bearingrul.errors import (
     BaselineTooShort,
     FptOutOfRange,
+    InvalidRecord,
     NoPostFptWindows,
     RecordTooShort,
     ZeroVariance,
 )
 
 
-def make_record(horizontal, vertical=None):
-    horizontal = np.asarray(horizontal, float)
-    if vertical is None:
-        vertical = horizontal + 0.25
-    return ft.BearingRecord(horizontal=horizontal, vertical=vertical,
-                            bearing_id="test")
+def make_record(hor, ver=None):
+    hor = np.asarray(hor, float)
+    if ver is None:
+        ver = hor + 0.25
+    return ft.BearingRecord(np.stack([hor, ver]), bearing_id="test")
 
 
 def gaussian_record(n_snapshots, samples, seed=0):
     rng = np.random.default_rng(seed)
-    return ft.BearingRecord(horizontal=rng.normal(size=(n_snapshots, samples)),
-                            vertical=rng.normal(size=(n_snapshots, samples)))
+    return ft.BearingRecord(rng.normal(size=(2, n_snapshots, samples)))
+
+
+def test_condition_id_comes_from_the_bearing_id():
+    record = make_record(np.zeros((1, 16)))
+    for bearing_id, condition in (("Bearing9_1", 9), ("Bearing12_3", 12),
+                                  ("test", 0), ("Bearing9", 0)):
+        record.bearing_id = bearing_id
+        assert record.condition_id == condition
+    with pytest.raises(AttributeError):
+        record.condition_id = 2
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (3, 1, 16), (2, 0, 16)])
+def test_record_needs_two_channels_of_snapshots(shape):
+    with pytest.raises(InvalidRecord, match=r"not \(2, n >= 1, m\)"):
+        ft.BearingRecord(np.zeros(shape))
 
 
 # --- sliding windows ---
@@ -52,7 +67,7 @@ def test_windows_trailing_remainder_dropped():
 
 def test_windows_record_too_short():
     with pytest.raises(RecordTooShort):
-        ft.sliding_windows(make_record(np.zeros((5, 16))), size=10)
+        ft.sliding_windows(5, size=10)
 
 
 # --- kurtosis series ---
@@ -81,7 +96,7 @@ def test_kurtosis_series_channel_selection():
     rng = np.random.default_rng(3)
     hor = rng.normal(size=(5, 256))
     ver = np.tile(np.tile([1.0, -1.0], 128), (5, 1))
-    record = ft.BearingRecord(horizontal=hor, vertical=ver)
+    record = ft.BearingRecord(np.stack([hor, ver]))
     np.testing.assert_allclose(ft.kurtosis_series(record, "vertical"),
                                np.ones(5), atol=1e-12)
 
@@ -151,7 +166,7 @@ def test_detect_fpt_record_either_channel():
     ver = rng.normal(size=(60, 512))
     ver[30:] *= 1.0
     ver[30:, ::16] += 12.0   # fault only on the vertical channel
-    record = ft.BearingRecord(horizontal=hor, vertical=ver)
+    record = ft.BearingRecord(np.stack([hor, ver]))
     cfg = ft.FptConfig(baseline_count=12, channel_policy="either")
     fpt, channel, series = ft.detect_fpt_record(record, cfg)
     assert fpt is not None and 28 <= fpt <= 33
@@ -292,19 +307,19 @@ def test_build_dataset_denoised_pipeline_runs():
     record = gaussian_record(30, 128, seed=19)
     samples = ft.build_dataset(record, fpt=10, size=10, stride=5, denoise=True)
     assert len(samples) == 4
-    vertical = ft.preprocess_record(record).vertical
+    ver = ft.preprocess_record(record).channel("vertical")
     for s in samples:
         assert s.hor.pixels.shape == (64, 64)
         w = s.ver.source_window
-        signal = vertical[w.start:w.start + w.size].reshape(-1)
+        signal = ver[w.start:w.start + w.size].reshape(-1)
         assert np.array_equal(s.ver.pixels, ft.wpd_image(signal))
 
 
 def test_preprocess_record_smooths():
     record = gaussian_record(4, 256, seed=20)
     cleaned = ft.preprocess_record(record)
-    assert cleaned.horizontal.shape == record.horizontal.shape
-    assert cleaned.horizontal.var() < record.horizontal.var()
+    assert cleaned.signals.shape == record.signals.shape
+    assert all(cleaned.signals.var(axis=(1, 2)) < record.signals.var(axis=(1, 2)))
 
 
 def test_check_samples_rejects_bad_labels_and_pixels():
